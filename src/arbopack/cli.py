@@ -2,7 +2,9 @@
 
 Exit codes: 0 the check holds / the object was found, 1 it fails or is
 infeasible (the witness is in the report), 2 usage or parse error, 3 the
-enumeration cap was exceeded.  ARBOPACK_CAP sets the default cap.
+enumeration cap was exceeded, 4 an input broke a property it must have
+(e.g. a set function that is not intersecting supermodular).  ARBOPACK_CAP
+sets the default cap.
 """
 from __future__ import annotations
 
@@ -12,7 +14,7 @@ import json
 import os
 import sys
 
-from .conditions import ConditionId, Instance, evaluate
+from .conditions import CONDITIONS, ConditionId, Instance, evaluate
 from .fuzz import SUITES, run_fuzz
 from .gpoly import build_t, feasible, find_integer_point
 from .instances import (
@@ -25,6 +27,7 @@ from .instances import (
 from .matroids import ExtendedHypergraphicMatroid
 from .orientation import frank_orient, mixed_orient
 from .packing import (
+    SPECIES,
     PackingSpec,
     corollary1_pack,
     find_packing,
@@ -39,14 +42,8 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_CAP = 3
+EXIT_PROPERTY = 4
 
-_SEARCH_SPECIES = (
-    "spanning",
-    "reachability",
-    "matroid_based",
-    "matroid_reachability_based",
-    "bounded_regular_limited",
-)
 _PIPELINES = ("main", "cor1", "mrb_mixed")
 
 
@@ -129,7 +126,7 @@ def _resolve_h(args, inst: Instance, names) -> SetFunctionOracle:
 def _cmd_check(args) -> int:
     inst, names = _load_instance(args.instance)
     cond = ConditionId(args.theorem)
-    if cond in (ConditionId.FRANK_ORIENT, ConditionId.NEW_ORIENT):
+    if "h" in CONDITIONS[cond].needs:
         inst = dataclasses.replace(inst, h=_resolve_h(args, inst, names))
     verdict = evaluate(cond, inst, args.cap)
     if verdict.holds:
@@ -310,14 +307,12 @@ def _cmd_fuzz(args) -> int:
     return EXIT_OK if report["ok"] else EXIT_FAIL
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(default_cap: int | None = None) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="arbopack",
         description="Packings of arborescences and hyperarborescences: "
                     "conditions, orientations, polyhedra and brute-force search.",
     )
-    env_cap = os.environ.get("ARBOPACK_CAP")
-    default_cap = int(env_cap) if env_cap else None
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, instance=True):
@@ -329,7 +324,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="evaluate a packing/orientation condition")
     p.add_argument("--theorem", required=True,
-                   choices=[c.value for c in ConditionId])
+                   choices=[c.value for c in CONDITIONS])
     p.add_argument("--h", choices=("matroid", "table"), default="matroid",
                    help="where orientation demands come from")
     p.add_argument("--h-table", help="set function JSON file for --h table")
@@ -345,14 +340,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pack", help="find a packing")
     p.add_argument("--spec", required=True,
-                   choices=_SEARCH_SPECIES + _PIPELINES)
+                   choices=SPECIES + _PIPELINES)
     common(p)
     p.set_defaults(func=_cmd_pack)
 
     p = sub.add_parser("verify", help="verify a packing file")
     p.add_argument("--packing", required=True, help="packing JSON file")
     p.add_argument("--spec", required=True,
-                   choices=_SEARCH_SPECIES + ("main",))
+                   choices=SPECIES + ("main",))
     common(p)
     p.set_defaults(func=_cmd_verify)
 
@@ -385,7 +380,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    env_cap = os.environ.get("ARBOPACK_CAP")
+    try:
+        default_cap = int(env_cap) if env_cap else None
+    except ValueError:
+        print(f"error: ARBOPACK_CAP must be an integer, not {env_cap!r}", file=sys.stderr)
+        return EXIT_USAGE
+    parser = _build_parser(default_cap)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
@@ -401,8 +402,9 @@ def main(argv=None) -> int:
     except CapExceededError:
         print("error: enumeration cap exceeded", file=sys.stderr)
         return EXIT_CAP
-    except PropertyViolationError:
-        raise
+    except PropertyViolationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PROPERTY
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

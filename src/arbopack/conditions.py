@@ -2,16 +2,21 @@
 
 Each condition id names one characterization: a quantified family of linear
 inequalities over a structure, evaluated exhaustively in a deterministic
-order.  evaluate() returns the first violated instance as a witness, so
-repeated runs give identical certificates.
+order.  CONDITIONS holds one record per id and writes each inequality once:
+evaluate() sweeps it and returns the first violated instance as a witness,
+so repeated runs give identical certificates, and witness_violates()
+recomputes the same inequality at a given witness.
 """
 from __future__ import annotations
 
+import functools
 import itertools
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
+from .gpoly import build_t, feasible, ground_subset_sides
 from .matroids import Matroid
 from .setfuncs import SetFunctionOracle
 from .structures import (
@@ -74,35 +79,34 @@ _KIND_TESTS = {
 }
 
 
-def _need(
-    inst: Instance,
-    cond: ConditionId,
-    kind: str,
-    roots: bool = False,
-    matroid: bool = False,
-    h: bool = False,
-    bounds: tuple[str, ...] = (),
-) -> None:
-    test, desc = _KIND_TESTS[kind]
+def _need(inst: Instance, cond: ConditionId) -> Condition:
+    """The record of cond, once inst has everything it reads."""
+    rec = CONDITIONS[cond]
+    test, desc = _KIND_TESTS[rec.graph]
     if not test(inst.graph):
         raise ValueError(f"{cond.value} needs {desc}")
-    if roots and inst.roots is None:
-        raise ValueError(f"{cond.value} needs a root multiset")
-    if roots and inst.roots is not None and len(inst.roots.counts) != inst.graph.n:
-        raise ValueError("root multiset does not match the vertex count")
-    if matroid:
+    if "roots" in rec.needs:
+        if inst.roots is None:
+            raise ValueError(f"{cond.value} needs a root multiset")
+        if len(inst.roots.counts) != inst.graph.n:
+            raise ValueError("root multiset does not match the vertex count")
+    if "matroid" in rec.needs:
         if inst.matroid is None:
             raise ValueError(f"{cond.value} needs a matroid on the root multiset")
         if frozenset(inst.matroid.ground) != frozenset(inst.roots.copies()):
             raise ValueError("matroid ground must be exactly the root copies")
-    if h and inst.h is None:
+    if "h" in rec.needs and inst.h is None:
         raise ValueError(f"{cond.value} needs a set function h")
-    for name in bounds:
-        if inst.bounds is None or getattr(inst.bounds, name) is None:
+    for name in rec.bounds:
+        val = None if inst.bounds is None else getattr(inst.bounds, name)
+        if val is None:
             raise ValueError(f"{cond.value} needs bounds.{name}")
-        val = getattr(inst.bounds, name)
         if name in ("f", "g") and len(val) != inst.graph.n:
             raise ValueError(f"bounds.{name} does not match the vertex count")
+    for holds, what in rec.requires:
+        if not holds(inst):
+            raise ValueError(f"{cond.value} needs {what}")
+    return rec
 
 
 def _root_rank(inst: Instance, x) -> int:
@@ -110,23 +114,36 @@ def _root_rank(inst: Instance, x) -> int:
 
 
 # ---------------------------------------------------------------------------
-# quantifier helpers
+# quantifiers: each sweep walks its ground in a fixed order, calls the value
+# closure once per member and returns the first member with lhs < rhs
 
-def _subset_sweep(inst, budget, value, include_empty, note) -> Verdict:
-    f = inst.graph
-    for x in subsets(range(f.n), include_empty=include_empty, budget=budget):
-        lhs, rhs = value(x)
-        if lhs < rhs:
-            return Verdict(False, Witness("subset", (x,), lhs, rhs, note))
-    return HOLDS
+class Quantifier(NamedTuple):
+    """A witness kind, the sweep that produces it, and how a witness payload
+    reads back as the arguments of the value closure."""
+
+    kind: str
+    sweep: Callable[[Instance, Budget, Callable, str], Verdict]
+    args: Callable[[MixedHypergraph, tuple], tuple] = lambda f, payload: payload
 
 
-def _subpartition_sweep(inst, budget, value, note) -> Verdict:
-    f = inst.graph
-    for parts in subpartitions(range(f.n), budget=budget):
-        lhs, rhs = value(parts)
-        if lhs < rhs:
-            return Verdict(False, Witness("subpartition", (parts,), lhs, rhs, note))
+def _quantifier(kind, ground) -> Quantifier:
+    """Quantifier over the members ground(inst, budget) yields; a witness
+    payload is the violating member alone."""
+
+    def sweep(inst, budget, value, note) -> Verdict:
+        for member in ground(inst, budget):
+            lhs, rhs = value(member)
+            if lhs < rhs:
+                return Verdict(False, Witness(kind, (member,), lhs, rhs, note))
+        return HOLDS
+
+    return Quantifier(kind, sweep)
+
+
+def _global_sweep(inst, budget, value, note) -> Verdict:
+    lhs, rhs = value()
+    if lhs < rhs:
+        return Verdict(False, Witness("global", (), lhs, rhs, note))
     return HOLDS
 
 
@@ -155,364 +172,242 @@ def _iter_component_families(
                 yield c, p, choice
 
 
-def _component_family_sweep(inst, budget, member_value, note) -> Verdict:
-    f = inst.graph
-    for c, p, family in _iter_component_families(f, budget):
-        lhs = entering_count(f, family)
-        rhs = sum(member_value(p, z) for z in family)
-        if lhs < rhs:
-            return Verdict(False, Witness("component_family", (c, family), lhs, rhs, note))
-    return HOLDS
+def _iter_component_subsets(f: MixedHypergraph, budget: Budget):
+    """One-member families: per component C with closure P, every subset of
+    P meeting C whose part outside C has nothing entering it."""
+    for c in scc_condense(f):
+        p = reach_to(f, c)
+        for x in subsets(sorted(p), include_empty=False, budget=budget):
+            if x & c and in_degree(f, x - c) == 0:
+                yield c, p, (x,)
+
+
+def _family_sweep(families) -> Quantifier:
+    """Quantifier over component families; the value closure reads the
+    closure P and the family, a witness payload is the component and the
+    family."""
+
+    def sweep(inst, budget, value, note) -> Verdict:
+        for c, p, family in families(inst.graph, budget):
+            lhs, rhs = value(p, family)
+            if lhs < rhs:
+                return Verdict(False, Witness("component_family", (c, family), lhs, rhs, note))
+        return HOLDS
+
+    return Quantifier("component_family", sweep,
+                      lambda f, payload: (reach_to(f, payload[0]), payload[1]))
+
+
+_VERTEX = _quantifier("vertex", lambda inst, budget: range(inst.graph.n))
+_GLOBAL = Quantifier("global", _global_sweep)
+_SUBSETS = _quantifier("subset", lambda inst, budget: subsets(range(inst.graph.n), budget=budget))
+_NONEMPTY_SUBSETS = _quantifier("subset", lambda inst, budget: subsets(
+    range(inst.graph.n), include_empty=False, budget=budget))
+_NON_ROOT_SUBSETS = _quantifier("subset", lambda inst, budget: subsets(
+    sorted(set(range(inst.graph.n)) - inst.roots.support()), include_empty=False, budget=budget))
+_SUBPARTITIONS = _quantifier("subpartition", lambda inst, budget: subpartitions(
+    range(inst.graph.n), budget=budget))
+_COMPONENT_FAMILIES = _family_sweep(_iter_component_families)
+_COMPONENT_SUBSETS = _family_sweep(_iter_component_subsets)
+# the emptiness test of T names its own inequalities and notes
+_T_GROUND = Quantifier("ground_subset", lambda inst, budget, value, note: feasible(
+    build_t(inst.graph, inst.bounds), budget))
 
 
 # ---------------------------------------------------------------------------
-# the individual conditions
+# the inequalities: value(inst) builds the (lhs, rhs) closure a quantifier
+# calls once per member of its ground
 
-def _eval_edmonds(inst: Instance, budget: Budget) -> Verdict:
-    _need(inst, ConditionId.EDMONDS, "digraph", roots=True)
-    s = inst.roots
-    total = s.size()
+class Check(NamedTuple):
+    """One quantified family of inequalities lhs >= rhs."""
 
-    def value(x):
-        return in_degree(inst.graph, x), total - s.size_of(x)
-
-    return _subset_sweep(inst, budget, value, False, "arcs entering vs roots missing")
+    over: Quantifier
+    value: Callable[[Instance], Callable[..., tuple[int, int]]]
+    note: str
 
 
-def _eval_frank_mixed(inst: Instance, budget: Budget) -> Verdict:
-    _need(inst, ConditionId.FRANK_MIXED, "mixed_graph", roots=True)
-    s = inst.roots
-    total = s.size()
+class Condition(NamedTuple):
+    """What a condition reads and the checks that must all hold, run in
+    order: vertex and global pre-checks first, the main sweep last."""
 
-    def value(parts):
-        union = frozenset().union(*parts) if parts else frozenset()
-        return entering_count(inst.graph, parts), total * len(parts) - s.size_of(union)
-
-    return _subpartition_sweep(inst, budget, value, "elements entering vs roots missing")
-
-
-def _eval_kkt(inst: Instance, budget: Budget) -> Verdict:
-    _need(inst, ConditionId.KKT, "digraph", roots=True)
-    s = inst.roots
-
-    def value(x):
-        p = reach_to(inst.graph, x)
-        return in_degree(inst.graph, x), s.size_of(p) - s.size_of(x)
-
-    return _subset_sweep(inst, budget, value, True, "arcs entering vs reaching roots missing")
+    graph: str  # a key of _KIND_TESTS
+    needs: tuple[str, ...]  # Instance fields among roots, matroid and h
+    checks: tuple[Check, ...]
+    bounds: tuple[str, ...] = ()  # Bounds fields that must be set
+    requires: tuple[tuple[Callable[[Instance], bool], str], ...] = ()  # (test, what it needs)
 
 
-def _eval_mt(inst: Instance, budget: Budget) -> Verdict:
-    _need(inst, ConditionId.MT, "mixed_graph", roots=True)
-    s = inst.roots
-
-    def member_value(p, z):
-        return s.size_of(p) - s.size_of(z)
-
-    return _component_family_sweep(inst, budget, member_value,
-                                   "elements entering vs reaching roots missing")
+def _edmonds(inst):
+    f, s, total = inst.graph, inst.roots, inst.roots.size()
+    return lambda x: (in_degree(f, x), total - s.size_of(x))
 
 
-def _eval_dgns(inst: Instance, budget: Budget) -> Verdict:
-    _need(inst, ConditionId.DGNS, "digraph", roots=True, matroid=True)
-    full = _root_rank(inst, range(inst.graph.n))
-
-    def value(x):
-        return in_degree(inst.graph, x), full - _root_rank(inst, x)
-
-    return _subset_sweep(inst, budget, value, False, "arcs entering vs rank deficiency")
+def _frank_mixed(inst):
+    f, s, total = inst.graph, inst.roots, inst.roots.size()
+    return lambda parts: (entering_count(f, parts),
+                          total * len(parts) - s.size_of(frozenset().union(*parts)))
 
 
-def _eval_kiraly(inst: Instance, budget: Budget) -> Verdict:
-    _need(inst, ConditionId.KIRALY, "digraph", roots=True, matroid=True)
-
-    def value(x):
-        p = reach_to(inst.graph, x)
-        return in_degree(inst.graph, x), _root_rank(inst, p) - _root_rank(inst, x)
-
-    return _subset_sweep(inst, budget, value, True, "arcs entering vs reaching rank deficiency")
+def _kkt(inst):
+    f, s = inst.graph, inst.roots
+    return lambda x: (in_degree(f, x), s.size_of(reach_to(f, x)) - s.size_of(x))
 
 
-def _eval_gy_digraph(inst: Instance, budget: Budget) -> Verdict:
-    _need(inst, ConditionId.GY_DIGRAPH, "digraph", roots=True, matroid=True)
+def _dgns(inst):
     f = inst.graph
-    for c in scc_condense(f):
-        p = reach_to(f, c)
-        rank_p = _root_rank(inst, p)
-        for x in subsets(sorted(p), include_empty=False, budget=budget):
-            if not x & c or in_degree(f, x - c) != 0:
-                continue
-            lhs = in_degree(f, x)
-            rhs = rank_p - _root_rank(inst, x)
-            if lhs < rhs:
-                return Verdict(False, Witness("component_family", (c, (x,)), lhs, rhs,
-                                              "arcs entering vs component rank deficiency"))
-    return HOLDS
+    full = _root_rank(inst, range(f.n))
+    return lambda x: (in_degree(f, x), full - _root_rank(inst, x))
 
 
-def _eval_gy_mixed(inst: Instance, budget: Budget) -> Verdict:
-    _need(inst, ConditionId.GY_MIXED, "mixed_graph", roots=True, matroid=True)
-
-    def member_value(p, z):
-        return _root_rank(inst, p) - _root_rank(inst, z)
-
-    return _component_family_sweep(inst, budget, member_value,
-                                   "elements entering vs component rank deficiency")
+def _kiraly(inst):
+    f = inst.graph
+    return lambda x: (in_degree(f, x), _root_rank(inst, reach_to(f, x)) - _root_rank(inst, x))
 
 
-def _eval_frank_orient(inst: Instance, budget: Budget) -> Verdict:
-    _need(inst, ConditionId.FRANK_ORIENT, "graph", h=True)
+def _family(f, member):
+    """entering(family) against the sum of member(P, Z) over its members Z."""
+    return lambda p, family: (entering_count(f, family), sum(member(p, z) for z in family))
+
+
+def _mt(inst):
+    s = inst.roots
+    return _family(inst.graph, lambda p, z: s.size_of(p) - s.size_of(z))
+
+
+def _gy(inst):
+    closure_rank = functools.cache(lambda p: _root_rank(inst, p))
+    return _family(inst.graph, lambda p, z: closure_rank(p) - _root_rank(inst, z))
+
+
+def _frank_orient(inst):
+    f, h = inst.graph, inst.h
+    return lambda parts: (entering_count(f, parts), sum(h(x) for x in parts))
+
+
+def _new_orient(inst):
     h = inst.h
-    if h(range(inst.graph.n)) != 0:
-        raise ValueError("frank_orient needs h(V) = 0")
-
-    def value(parts):
-        return entering_count(inst.graph, parts), sum(h(x) for x in parts)
-
-    return _subpartition_sweep(inst, budget, value, "edges entering vs demanded in-degree")
+    return _family(inst.graph, lambda p, z: h(z) - h(p))
 
 
-def _eval_new_orient(inst: Instance, budget: Budget) -> Verdict:
-    _need(inst, ConditionId.NEW_ORIENT, "mixed_hypergraph", h=True)
-    h = inst.h
+def _bounded(slack, cap):
+    """entering(P) >= k|P| - min(slack(V - U), cap(U)), U the union of P."""
 
-    def member_value(p, z):
-        return h(z) - h(p)
+    def value_of(inst):
+        f, b = inst.graph, inst.bounds
+        everything = frozenset(range(f.n))
 
-    return _component_family_sweep(inst, budget, member_value,
-                                   "elements entering vs demanded in-degree")
+        def value(parts):
+            union = frozenset().union(*parts)
+            return (entering_count(f, parts),
+                    b.k * len(parts) - min(slack(b, everything - union), cap(b, union)))
 
+        return value
 
-def _bounded_subpartition_value(inst, cap_fn):
-    """Shared inequality shape: entering >= k|P| - min(slack, cap_fn(union))."""
-    b = inst.bounds
-    f = inst.graph
-    fv = b.f
-
-    def value(parts):
-        union = frozenset().union(*parts) if parts else frozenset()
-        complement = frozenset(range(f.n)) - union
-        slack, cap = cap_fn(union, complement)
-        return entering_count(f, parts), b.k * len(parts) - min(slack, cap)
-
-    return value
+    return value_of
 
 
-def _eval_fg_bounded(inst: Instance, budget: Budget, cond: ConditionId, kind: str) -> Verdict:
-    _need(inst, cond, kind, bounds=("f", "g", "k"))
-    b = inst.bounds
-    for v in range(inst.graph.n):
-        if b.g[v] < b.f[v]:
-            return Verdict(False, Witness("vertex", (v,), b.g[v], b.f[v],
-                                          "upper root bound below lower"))
-    value = _bounded_subpartition_value(
-        inst, lambda union, comp: (b.k - b.f_sum(comp), sum(b.g[v] for v in union))
-    )
-    return _subpartition_sweep(inst, budget, value, "elements entering vs forced roots")
+def _fkk(inst):
+    f, k = inst.graph, inst.roots.size()
+    return lambda x: (in_degree(f, x), k)
 
 
-def _eval_frank_cai(inst, budget):
-    return _eval_fg_bounded(inst, budget, ConditionId.FRANK_CAI, "digraph")
+def _cor1(inst):
+    f, s, k = inst.graph, inst.roots, inst.bounds.k
+    return lambda x: (in_degree(f, x), k - s.size_of(x))
 
 
-def _eval_gy_fg(inst, budget):
-    return _eval_fg_bounded(inst, budget, ConditionId.GY_FG, "mixed_graph")
+def _lemma1b(inst):
+    return lambda *payload: ground_subset_sides(build_t(inst.graph, inst.bounds), payload)
 
 
-def _eval_hsz(inst, budget):
-    return _eval_fg_bounded(inst, budget, ConditionId.HSZ, "mixed_hypergraph")
+def _g_sum(b, union):
+    return sum(b.g[v] for v in union)
 
 
-def _eval_limited(inst: Instance, budget: Budget, cond: ConditionId, kind: str,
-                  capped_union: bool) -> Verdict:
-    _need(inst, cond, kind, bounds=("f", "g", "k", "l", "lprime"))
-    b = inst.bounds
-    if cond is ConditionId.MAIN and min(b.k, b.l, b.lprime) < 1:
-        raise ValueError("main needs positive k, l and lprime")
-    for v in range(inst.graph.n):
-        if b.g_k(v) < b.f[v]:
-            return Verdict(False, Witness("vertex", (v,), b.g_k(v), b.f[v],
-                                          "capped upper root bound below lower"))
-    gv = b.g_k_sum(range(inst.graph.n))
-    if min(gv, b.lprime) < b.l:
-        return Verdict(False, Witness("global", (), min(gv, b.lprime), b.l,
-                                      "member minimum unreachable"))
-    if capped_union:
-        value = _bounded_subpartition_value(
-            inst, lambda union, comp: (b.lprime - b.f_sum(comp), b.g_k_sum(union))
-        )
-    else:
-        value = _bounded_subpartition_value(
-            inst, lambda union, comp: (b.lprime - b.f_sum(comp), sum(b.g[v] for v in union))
-        )
-    return _subpartition_sweep(inst, budget, value, "elements entering vs forced roots")
+_FORCED = "elements entering vs forced roots"
+_FG_BOUNDED = (
+    Check(_VERTEX, lambda inst: lambda v: (inst.bounds.g[v], inst.bounds.f[v]),
+          "upper root bound below lower"),
+    Check(_SUBPARTITIONS, _bounded(lambda b, rest: b.k - b.f_sum(rest), _g_sum), _FORCED),
+)
+_LIMITED_PRECHECKS = (
+    Check(_VERTEX, lambda inst: lambda v: (inst.bounds.g_k(v), inst.bounds.f[v]),
+          "capped upper root bound below lower"),
+    Check(_GLOBAL, lambda inst: lambda: (min(inst.bounds.g_k_sum(range(inst.graph.n)),
+                                             inst.bounds.lprime), inst.bounds.l),
+          "member minimum unreachable"),
+)
+_LIMITED_BOUNDS = ("f", "g", "k", "l", "lprime")
+_POSITIVE = (lambda inst: min(inst.bounds.k, inst.bounds.l, inst.bounds.lprime) >= 1,
+             "positive k, l and lprime")
 
 
-def _eval_berczi_frank(inst, budget):
-    return _eval_limited(inst, budget, ConditionId.BERCZI_FRANK, "digraph", capped_union=False)
+def _limited(cap):
+    return Check(_SUBPARTITIONS, _bounded(lambda b, rest: b.lprime - b.f_sum(rest), cap), _FORCED)
 
 
-def _eval_main(inst, budget):
-    return _eval_limited(inst, budget, ConditionId.MAIN, "mixed_hypergraph", capped_union=True)
-
-
-def _eval_fkk(inst: Instance, budget: Budget) -> Verdict:
-    _need(inst, ConditionId.FKK, "dypergraph", roots=True)
-    support = inst.roots.support()
-    if len(support) != 1:
-        raise ValueError("fkk needs all roots on a single vertex")
-    (s,) = support
-    k = inst.roots.size()
-    f = inst.graph
-    others = sorted(set(range(f.n)) - {s})
-    for x in subsets(others, include_empty=False, budget=budget):
-        lhs = in_degree(f, x)
-        if lhs < k:
-            return Verdict(False, Witness("subset", (x,), lhs, k,
-                                          "dyperedges entering vs required connectivity"))
-    return HOLDS
-
-
-def _eval_cor1(inst: Instance, budget: Budget) -> Verdict:
-    _need(inst, ConditionId.COR1, "dypergraph", roots=True, bounds=("k",))
-    s, k = inst.roots, inst.bounds.k
-    for v in range(inst.graph.n):
-        if s.count(v) > k:
-            return Verdict(False, Witness("vertex", (v,), k, s.count(v),
-                                          "more roots at a vertex than members"))
-
-    def value(x):
-        return in_degree(inst.graph, x), k - s.size_of(x)
-
-    return _subset_sweep(inst, budget, value, False, "dyperedges entering vs roots missing")
-
-
-def _eval_lemma1b(inst: Instance, budget: Budget) -> Verdict:
-    _need(inst, ConditionId.LEMMA1B, "mixed_hypergraph",
-          bounds=("f", "g", "k", "l", "lprime"))
-    b = inst.bounds
-    if min(b.k, b.l, b.lprime) < 1:
-        raise ValueError("lemma1b needs positive k, l and lprime")
-    from .gpoly import build_t, feasible
-
-    return feasible(build_t(inst.graph, b), budget)
-
-
-_EVALUATORS = {
-    ConditionId.EDMONDS: _eval_edmonds,
-    ConditionId.FRANK_MIXED: _eval_frank_mixed,
-    ConditionId.KKT: _eval_kkt,
-    ConditionId.MT: _eval_mt,
-    ConditionId.DGNS: _eval_dgns,
-    ConditionId.KIRALY: _eval_kiraly,
-    ConditionId.GY_DIGRAPH: _eval_gy_digraph,
-    ConditionId.GY_MIXED: _eval_gy_mixed,
-    ConditionId.FRANK_ORIENT: _eval_frank_orient,
-    ConditionId.NEW_ORIENT: _eval_new_orient,
-    ConditionId.FRANK_CAI: _eval_frank_cai,
-    ConditionId.BERCZI_FRANK: _eval_berczi_frank,
-    ConditionId.FKK: _eval_fkk,
-    ConditionId.COR1: _eval_cor1,
-    ConditionId.GY_FG: _eval_gy_fg,
-    ConditionId.HSZ: _eval_hsz,
-    ConditionId.MAIN: _eval_main,
-    ConditionId.LEMMA1B: _eval_lemma1b,
+CONDITIONS: dict[ConditionId, Condition] = {
+    ConditionId.EDMONDS: Condition("digraph", ("roots",), (
+        Check(_NONEMPTY_SUBSETS, _edmonds, "arcs entering vs roots missing"),)),
+    ConditionId.FRANK_MIXED: Condition("mixed_graph", ("roots",), (
+        Check(_SUBPARTITIONS, _frank_mixed, "elements entering vs roots missing"),)),
+    ConditionId.KKT: Condition("digraph", ("roots",), (
+        Check(_SUBSETS, _kkt, "arcs entering vs reaching roots missing"),)),
+    ConditionId.MT: Condition("mixed_graph", ("roots",), (
+        Check(_COMPONENT_FAMILIES, _mt, "elements entering vs reaching roots missing"),)),
+    ConditionId.DGNS: Condition("digraph", ("roots", "matroid"), (
+        Check(_NONEMPTY_SUBSETS, _dgns, "arcs entering vs rank deficiency"),)),
+    ConditionId.KIRALY: Condition("digraph", ("roots", "matroid"), (
+        Check(_SUBSETS, _kiraly, "arcs entering vs reaching rank deficiency"),)),
+    ConditionId.GY_DIGRAPH: Condition("digraph", ("roots", "matroid"), (
+        Check(_COMPONENT_SUBSETS, _gy, "arcs entering vs component rank deficiency"),)),
+    ConditionId.GY_MIXED: Condition("mixed_graph", ("roots", "matroid"), (
+        Check(_COMPONENT_FAMILIES, _gy, "elements entering vs component rank deficiency"),)),
+    ConditionId.FRANK_ORIENT: Condition("graph", ("h",), (
+        Check(_SUBPARTITIONS, _frank_orient, "edges entering vs demanded in-degree"),),
+        requires=((lambda inst: inst.h(range(inst.graph.n)) == 0, "h(V) = 0"),)),
+    ConditionId.NEW_ORIENT: Condition("mixed_hypergraph", ("h",), (
+        Check(_COMPONENT_FAMILIES, _new_orient, "elements entering vs demanded in-degree"),)),
+    ConditionId.FRANK_CAI: Condition("digraph", (), _FG_BOUNDED, bounds=("f", "g", "k")),
+    ConditionId.BERCZI_FRANK: Condition("digraph", (), _LIMITED_PRECHECKS + (
+        _limited(_g_sum),), bounds=_LIMITED_BOUNDS),
+    ConditionId.FKK: Condition("dypergraph", ("roots",), (
+        Check(_NON_ROOT_SUBSETS, _fkk, "dyperedges entering vs required connectivity"),),
+        requires=((lambda inst: len(inst.roots.support()) == 1, "all roots on a single vertex"),)),
+    ConditionId.COR1: Condition("dypergraph", ("roots",), (
+        Check(_VERTEX, lambda inst: lambda v: (inst.bounds.k, inst.roots.count(v)),
+              "more roots at a vertex than members"),
+        Check(_NONEMPTY_SUBSETS, _cor1, "dyperedges entering vs roots missing"),
+    ), bounds=("k",)),
+    ConditionId.GY_FG: Condition("mixed_graph", (), _FG_BOUNDED, bounds=("f", "g", "k")),
+    ConditionId.HSZ: Condition("mixed_hypergraph", (), _FG_BOUNDED, bounds=("f", "g", "k")),
+    ConditionId.MAIN: Condition("mixed_hypergraph", (), _LIMITED_PRECHECKS + (
+        _limited(Bounds.g_k_sum),), bounds=_LIMITED_BOUNDS, requires=(_POSITIVE,)),
+    ConditionId.LEMMA1B: Condition("mixed_hypergraph", (), _LIMITED_PRECHECKS + (
+        Check(_T_GROUND, _lemma1b, ""),),
+        bounds=_LIMITED_BOUNDS, requires=(_POSITIVE,)),
 }
 
 
 def evaluate(cond: ConditionId | str, inst: Instance, cap: int | Budget | None = None) -> Verdict:
     """Evaluate one condition exhaustively; first violation becomes the witness."""
-    if isinstance(cond, str):
-        cond = ConditionId(cond)
-    return _EVALUATORS[cond](inst, as_budget(cap))
+    cond = ConditionId(cond)
+    budget = as_budget(cap)
+    for check in _need(inst, cond).checks:
+        verdict = check.over.sweep(inst, budget, check.value(inst), check.note)
+        if not verdict:
+            return verdict
+    return HOLDS
 
-
-# ---------------------------------------------------------------------------
-# witness re-evaluation
 
 def witness_violates(cond: ConditionId | str, inst: Instance, witness: Witness) -> bool:
     """Recompute the inequality named by a witness; True iff it is violated."""
-    if isinstance(cond, str):
-        cond = ConditionId(cond)
-    f = inst.graph
-    s, b = inst.roots, inst.bounds
-    kind, payload = witness.kind, witness.payload
-    if cond is ConditionId.EDMONDS and kind == "subset":
-        (x,) = payload
-        return in_degree(f, x) < s.size() - s.size_of(x)
-    if cond is ConditionId.FRANK_MIXED and kind == "subpartition":
-        (parts,) = payload
-        union = frozenset().union(*parts) if parts else frozenset()
-        return entering_count(f, parts) < s.size() * len(parts) - s.size_of(union)
-    if cond is ConditionId.KKT and kind == "subset":
-        (x,) = payload
-        return in_degree(f, x) < s.size_of(reach_to(f, x)) - s.size_of(x)
-    if cond is ConditionId.MT and kind == "component_family":
-        c, family = payload
-        p = reach_to(f, c)
-        return entering_count(f, family) < sum(s.size_of(p) - s.size_of(z) for z in family)
-    if cond is ConditionId.DGNS and kind == "subset":
-        (x,) = payload
-        return in_degree(f, x) < _root_rank(inst, range(f.n)) - _root_rank(inst, x)
-    if cond is ConditionId.KIRALY and kind == "subset":
-        (x,) = payload
-        return in_degree(f, x) < _root_rank(inst, reach_to(f, x)) - _root_rank(inst, x)
-    if cond in (ConditionId.GY_DIGRAPH, ConditionId.GY_MIXED) and kind == "component_family":
-        c, family = payload
-        p = reach_to(f, c)
-        rank_p = _root_rank(inst, p)
-        if cond is ConditionId.GY_DIGRAPH:
-            (x,) = family
-            return in_degree(f, x) < rank_p - _root_rank(inst, x)
-        return entering_count(f, family) < sum(rank_p - _root_rank(inst, z) for z in family)
-    if cond is ConditionId.FRANK_ORIENT and kind == "subpartition":
-        (parts,) = payload
-        return entering_count(f, parts) < sum(inst.h(x) for x in parts)
-    if cond is ConditionId.NEW_ORIENT and kind == "component_family":
-        c, family = payload
-        p = reach_to(f, c)
-        return entering_count(f, family) < sum(inst.h(z) - inst.h(p) for z in family)
-    if cond in (ConditionId.FRANK_CAI, ConditionId.GY_FG, ConditionId.HSZ):
-        if kind == "vertex":
-            (v,) = payload
-            return b.g[v] < b.f[v]
-        (parts,) = payload
-        union = frozenset().union(*parts) if parts else frozenset()
-        comp = frozenset(range(f.n)) - union
-        rhs = b.k * len(parts) - min(b.k - b.f_sum(comp), sum(b.g[v] for v in union))
-        return entering_count(f, parts) < rhs
-    if cond in (ConditionId.BERCZI_FRANK, ConditionId.MAIN):
-        if kind == "vertex":
-            (v,) = payload
-            return b.g_k(v) < b.f[v]
-        if kind == "global":
-            return min(b.g_k_sum(range(f.n)), b.lprime) < b.l
-        (parts,) = payload
-        union = frozenset().union(*parts) if parts else frozenset()
-        comp = frozenset(range(f.n)) - union
-        cap = b.g_k_sum(union) if cond is ConditionId.MAIN else sum(b.g[v] for v in union)
-        rhs = b.k * len(parts) - min(b.lprime - b.f_sum(comp), cap)
-        return entering_count(f, parts) < rhs
-    if cond is ConditionId.FKK and kind == "subset":
-        (x,) = payload
-        return in_degree(f, x) < s.size()
-    if cond is ConditionId.COR1:
-        if kind == "vertex":
-            (v,) = payload
-            return s.count(v) > b.k
-        (x,) = payload
-        return in_degree(f, x) < b.k - s.size_of(x)
-    if cond is ConditionId.LEMMA1B:
-        if kind == "vertex":
-            (v,) = payload
-            return b.g_k(v) < b.f[v]
-        if kind == "global":
-            return min(b.g_k_sum(range(f.n)), b.lprime) < b.l
-        if kind == "ground_subset":
-            from .gpoly import build_t, ground_subset_violates
-
-            return ground_subset_violates(build_t(f, b), payload)
-    raise ValueError(f"no inequality named {kind!r} for {cond.value}")
+    cond = ConditionId(cond)
+    for check in _need(inst, cond).checks:
+        if check.over.kind == witness.kind:
+            lhs, rhs = check.value(inst)(*check.over.args(inst.graph, witness.payload))
+            return lhs < rhs
+    raise ValueError(f"no inequality named {witness.kind!r} for {cond.value}")
 
 
 # ---------------------------------------------------------------------------

@@ -24,9 +24,6 @@ from .structures import (
     Verdict,
     Witness,
     as_budget,
-    dyperedge_enters,
-    hyperedge_enters,
-    set_partitions,
     subsets,
 )
 
@@ -308,13 +305,19 @@ def feasible(t: TPolyhedron, cap: int | Budget | None = None) -> Verdict:
     return HOLDS
 
 
-def ground_subset_violates(t: TPolyhedron, payload: tuple) -> bool:
-    """Recompute one recorded emptiness inequality."""
+def ground_subset_sides(t: TPolyhedron, payload: tuple) -> tuple[int, int]:
+    """Both sides of one recorded emptiness inequality: the rank of the
+    complement and the chosen demand."""
     elems, which = payload
     z = frozenset(elems)
-    rank_rest = t.rank(frozenset(t.ground) - z)
     g_side, f_side = _demands(t, z)
-    return rank_rest < (g_side if which == "g" else f_side)
+    return t.rank(frozenset(t.ground) - z), (g_side if which == "g" else f_side)
+
+
+def ground_subset_violates(t: TPolyhedron, payload: tuple) -> bool:
+    """Recompute one recorded emptiness inequality."""
+    lhs, rhs = ground_subset_sides(t, payload)
+    return lhs < rhs
 
 
 def t_contains(t: TPolyhedron, support: frozenset,
@@ -365,24 +368,7 @@ def rank_partition_argmin(t: TPolyhedron, zs: Iterable,
                           ) -> tuple[tuple[frozenset[int], ...], int]:
     """First partition of the vertex set attaining the partition form of the
     extended matroid rank of z, with the attained value."""
-    budget = as_budget(cap)
-    z = frozenset(zs)
-    f, k = t.f, t.bounds.k
-    z_arcs = frozenset(e[1] for e in z if e[0] == "A")
-    z_hypers = frozenset(e[1] for e in z if e[0] == "E")
-    best_parts: tuple | None = None
-    best = None
-    for parts in set_partitions(range(f.n), budget=budget):
-        val = k * (f.n - len(parts))
-        for j in z_arcs:
-            if any(dyperedge_enters(f.dyperedges[j], y) for y in parts):
-                val += 1
-        for i in z_hypers:
-            if any(hyperedge_enters(f.hyperedges[i], y) for y in parts):
-                val += 1
-        if best is None or val < best:
-            best, best_parts = val, parts
-    return best_parts if best_parts is not None else (), best if best is not None else 0
+    return t.matroid.rank_partition_argmin(zs, cap)
 
 
 def violating_subpartition(t: TPolyhedron, elems: Iterable, which: str,

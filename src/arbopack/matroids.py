@@ -119,23 +119,21 @@ class PartitionMatroid(Matroid):
 class ExplicitMatroid(Matroid):
     """Matroid given by the full list of independent sets.
 
-    With validate=True (default) the list is checked for nonemptiness,
-    downward closure and the exchange property at construction.  Pass
-    validate=False to wrap a raw list, e.g. to exercise the axiom checker.
+    The list is checked for nonemptiness, downward closure and the exchange
+    property at construction.
     """
 
     kind = "explicit"
 
-    def __init__(self, ground: Iterable, independent_sets: Iterable[Iterable], validate: bool = True):
+    def __init__(self, ground: Iterable, independent_sets: Iterable[Iterable]):
         self.ground = tuple(ground)
         self.family = frozenset(frozenset(s) for s in independent_sets)
         for s in self.family:
             if s - frozenset(self.ground):
                 raise ValueError("independent set uses elements not in the ground")
-        if validate:
-            problem = self._axiom_problem()
-            if problem:
-                raise ValueError(f"independence list is not a matroid: {problem}")
+        problem = self._axiom_problem()
+        if problem:
+            raise ValueError(f"independence list is not a matroid: {problem}")
 
     def _axiom_problem(self) -> str | None:
         if frozenset() not in self.family:
@@ -286,8 +284,9 @@ class ExtendedHypergraphicMatroid(Matroid):
     hypergraph, with every hyperedge replaced by its parallel oriented
     copies.
 
-    rank() answers through the independence search; rank_by_partition_formula()
-    answers through the partition minimum, for cross-checking.
+    rank() answers through the independence search; rank_partition_argmin()
+    and rank_by_partition_formula() answer through the partition minimum,
+    for cross-checking.
     """
 
     kind = "extended"
@@ -325,29 +324,32 @@ class ExtendedHypergraphicMatroid(Matroid):
     def independent(self, zs: Iterable) -> bool:
         return self._indep(self._check(zs))
 
-    def rank_by_partition_formula(self, zs: Iterable, cap: int | Budget | None = None) -> int:
-        """Rank as a minimum over all partitions of the vertex set of
-        (dyperedges of z entering the partition) + (hyperedges with a copy in
-        z entering the partition) + k * (n - number of classes)."""
+    def rank_partition_argmin(self, zs: Iterable, cap: int | Budget | None = None
+                              ) -> tuple[tuple[frozenset[int], ...], int]:
+        """First partition of the vertex set minimizing (dyperedges of z
+        entering the partition) + (hyperedges with a copy in z entering the
+        partition) + k * (n - number of classes), with that minimum: the
+        rank of z."""
         z = self._check(zs)
         f = self.f
-        if f.n > 10:
-            raise CapExceededError("partition formula limited to at most 10 vertices")
-        budget = as_budget(cap)
         z_arcs = frozenset(e[1] for e in z if e[0] == ARC)
         z_hypers = frozenset(e[1] for e in z if e[0] == COPY)
-        best: int | None = None
-        for parts in set_partitions(range(f.n), budget=budget):
-            val = self.k * (f.n - len(parts))
-            for j in z_arcs:
-                if any(dyperedge_enters(f.dyperedges[j], y) for y in parts):
-                    val += 1
-            for i in z_hypers:
-                if any(hyperedge_enters(f.hyperedges[i], y) for y in parts):
-                    val += 1
-            if best is None or val < best:
-                best = val
-        return best if best is not None else 0
+
+        def value(parts) -> int:
+            return (self.k * (f.n - len(parts))
+                    + sum(1 for j in z_arcs
+                          if any(dyperedge_enters(f.dyperedges[j], y) for y in parts))
+                    + sum(1 for i in z_hypers
+                          if any(hyperedge_enters(f.hyperedges[i], y) for y in parts)))
+
+        best = min(set_partitions(range(f.n), budget=as_budget(cap)), key=value)
+        return best, value(best)
+
+    def rank_by_partition_formula(self, zs: Iterable, cap: int | Budget | None = None) -> int:
+        """Rank through the partition minimum; at most 10 vertices."""
+        if self.f.n > 10:
+            raise CapExceededError("partition formula limited to at most 10 vertices")
+        return self.rank_partition_argmin(zs, cap)[1]
 
 
 # ---------------------------------------------------------------------------

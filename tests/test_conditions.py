@@ -6,6 +6,7 @@ import pytest
 
 from arbopack import (
     Bounds,
+    CapExceededError,
     ConditionId,
     FreeMatroid,
     Instance,
@@ -14,6 +15,7 @@ from arbopack import (
     RootMultiset,
     SetFunctionOracle,
     UniformMatroid,
+    Witness,
     evaluate,
     in_degree,
     reach_to,
@@ -21,12 +23,14 @@ from arbopack import (
     subsets,
     witness_violates,
 )
+from arbopack.conditions import CONDITIONS
 from arbopack.fuzz import (
     _random_arcs,
     _random_bounds,
     _random_matroid,
     _random_mixed_hypergraph,
     _random_roots,
+    _random_supermodular,
 )
 
 from conftest import mh
@@ -36,6 +40,21 @@ def inst_d(n, arcs, counts, matroid=None):
     graph = mh(n, (), arcs)
     roots = RootMultiset(tuple(counts))
     return Instance(graph=graph, roots=roots, matroid=matroid)
+
+
+def random_graph(rng, n, kind):
+    """A random graph of the kind a condition record names."""
+    if kind == "digraph":
+        return MixedHypergraph(n, (), _random_arcs(rng, n))
+    if kind == "mixed_graph":
+        edges = tuple(e for e in subsets(range(n)) if len(e) == 2 and rng.random() < 0.4)
+        return MixedHypergraph(n, edges, _random_arcs(rng, n, 0.25))
+    mixed = _random_mixed_hypergraph(rng, n, max_elements=4)
+    if kind == "dypergraph":
+        return MixedHypergraph(n, (), mixed.dyperedges)
+    if kind == "graph":
+        return MixedHypergraph(n, mixed.hyperedges, ())
+    return mixed
 
 
 class TestEdmonds:
@@ -259,6 +278,44 @@ class TestWitnessReViolation:
                     failing += 1
                     assert witness_violates(cond, inst, verdict.witness)
         assert failing > 10
+
+    def test_every_condition_has_a_record(self):
+        assert set(CONDITIONS) == set(ConditionId)
+
+    @pytest.mark.parametrize("cond", list(CONDITIONS), ids=lambda c: c.value)
+    def test_every_condition_reviolates(self, cond):
+        rng = random.Random(f"reviolate-{cond.value}")
+        failing = 0
+        for _ in range(80):
+            n = rng.randint(1, 3)
+            roots = _random_roots(rng, n)
+            if rng.random() < 0.5:
+                v = rng.randrange(n)
+                roots = RootMultiset(tuple(rng.randint(1, 2) if u == v else 0
+                                           for u in range(n)))
+            inst = Instance(graph=random_graph(rng, n, CONDITIONS[cond].graph),
+                            roots=roots, matroid=_random_matroid(rng, roots),
+                            bounds=_random_bounds(rng, n),
+                            h=_random_supermodular(rng, n))
+            try:
+                verdict = evaluate(cond, inst, 100_000)
+            except (ValueError, CapExceededError):
+                continue  # e.g. fkk with roots on two vertices
+            if not verdict.holds:
+                failing += 1
+                assert witness_violates(cond, inst, verdict.witness), verdict.witness
+        assert failing >= 5
+
+    def test_missing_field_raises_value_error(self):
+        graph = mh(2, (), [])
+        with pytest.raises(ValueError):
+            witness_violates("edmonds", Instance(graph=graph),
+                             Witness("subset", (frozenset({1}),)))
+
+    def test_foreign_witness_kind_raises_value_error(self):
+        inst = Instance(graph=mh(1, (), []), bounds=Bounds(f=(1,), g=(0,), k=1))
+        with pytest.raises(ValueError):
+            witness_violates("frank_cai", inst, Witness("subset", (frozenset({0}),)))
 
 
 class TestSccProjection:

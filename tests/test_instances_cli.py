@@ -15,7 +15,7 @@ from arbopack import (
     parse_set_function,
     set_function_to_doc,
 )
-from arbopack.cli import EXIT_CAP, EXIT_FAIL, EXIT_OK, EXIT_USAGE, main
+from arbopack.cli import EXIT_CAP, EXIT_FAIL, EXIT_OK, EXIT_PROPERTY, EXIT_USAGE, main
 
 
 def base_doc(**extra):
@@ -370,6 +370,32 @@ class TestCli:
         path = write_json("i.json", feasible_main())
         assert main(["check", "--theorem", "main",
                      "--instance", path]) == EXIT_CAP
+
+    def test_bad_env_cap_is_a_usage_error(self, write_json, monkeypatch, capsys):
+        monkeypatch.setenv("ARBOPACK_CAP", "abc")
+        path = write_json("i.json", feasible_main())
+        assert main(["check", "--theorem", "main",
+                     "--instance", path]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: ARBOPACK_CAP")
+
+    def test_broken_property_has_its_own_exit_code(self, write_json, capsys):
+        doc = {
+            "schema_version": SCHEMA_VERSION,
+            "vertices": ["a", "b", "c"],
+            "hyperedges": [["a", "b"], ["b", "c"]],
+        }
+        # h(ab) + h(bc) = 2 > h(b) + h(abc) = 0: not intersecting supermodular
+        values = {"ab": 1, "bc": 1}
+        hdoc = {"values": [{"set": list(x), "value": values.get("".join(x), 0)}
+                           for x in ("", "a", "b", "c", "ab", "ac", "bc", "abc")]}
+        path = write_json("i.json", doc)
+        hpath = write_json("h.json", hdoc)
+        code = main(["orient", "--engine", "edge", "--h", "table",
+                     "--h-table", hpath, "--instance", path])
+        assert code == EXIT_PROPERTY
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: h is not intersecting supermodular")
 
     def test_fuzz_small_run(self, capsys):
         code = main(["fuzz", "--seed", "1", "--count", "5", "--n-max", "3",
