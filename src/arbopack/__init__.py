@@ -16,11 +16,9 @@ from .gpoly import (
     feasible,
     find_integer_point,
     gpoly_contains,
-    ground_subset_violates,
     integer_points,
     intersect_plank,
     minkowski_sum,
-    rank_partition_argmin,
     t_contains,
     violating_subpartition,
 )
@@ -30,9 +28,11 @@ from .instances import (
     instance_to_doc,
     matroid_to_doc,
     packing_to_doc,
+    parse_extended_elements,
     parse_instance,
     parse_matroid,
     parse_packing,
+    parse_root_copies,
     parse_set_function,
     set_function_to_doc,
 )

@@ -20,8 +20,10 @@ from .gpoly import build_t, feasible, find_integer_point
 from .instances import (
     SchemaError,
     packing_to_doc,
+    parse_extended_elements,
     parse_instance,
     parse_packing,
+    parse_root_copies,
     parse_set_function,
 )
 from .matroids import ExtendedHypergraphicMatroid
@@ -155,26 +157,18 @@ def _cmd_orient(args) -> int:
 
 
 def _packing_spec(name: str, inst: Instance) -> PackingSpec:
-    if name in ("spanning", "reachability"):
-        return PackingSpec(name, roots=inst.roots)
-    if name in ("matroid_based", "matroid_reachability_based"):
-        return PackingSpec(name, roots=inst.roots, matroid=inst.matroid)
-    return PackingSpec("bounded_regular_limited", bounds=inst.bounds)
+    reads, _ = SPECIES[name]
+    return PackingSpec(name, **{field: getattr(inst, field) for field in reads})
 
 
 def _cmd_pack(args) -> int:
     inst, names = _load_instance(args.instance)
     if args.spec == "main":
-        if inst.bounds is None:
-            raise SchemaError("main needs bounds in the instance")
         result = main_pack(inst.graph, inst.bounds, args.cap)
     elif args.spec == "cor1":
-        if inst.roots is None or inst.bounds is None or inst.bounds.k is None:
-            raise SchemaError("cor1 needs roots and bounds.k in the instance")
-        result = corollary1_pack(inst.graph, inst.roots, inst.bounds.k, args.cap)
+        k = None if inst.bounds is None else inst.bounds.k
+        result = corollary1_pack(inst.graph, inst.roots, k, args.cap)
     elif args.spec == "mrb_mixed":
-        if inst.roots is None or inst.matroid is None:
-            raise SchemaError("mrb_mixed needs roots and a matroid in the instance")
         result = mrb_mixed_pack(inst.graph, inst.roots, inst.matroid, args.cap)
     else:
         result = find_packing(inst.graph, _packing_spec(args.spec, inst), args.cap)
@@ -210,24 +204,10 @@ def _cmd_verify(args) -> int:
 
 def _cmd_rank(args) -> int:
     inst, names = _load_instance(args.instance)
-    idx = {v: i for i, v in enumerate(names)}
     if args.extended_k is not None:
         m = ExtendedHypergraphicMatroid(inst.graph, args.extended_k)
         if args.elements_file:
-            doc = _load_json(args.elements_file)
-            if not isinstance(doc, dict) or not isinstance(doc.get("elements"), list):
-                raise SchemaError("elements file needs an elements list")
-            elems = []
-            for e in doc["elements"]:
-                if not isinstance(e, list) or e[0] not in ("A", "E"):
-                    raise SchemaError(f"bad extended element {e!r}")
-                if e[0] == "A":
-                    elems.append(("A", e[1]))
-                else:
-                    if e[2] not in idx:
-                        raise SchemaError(f"unknown vertex {e[2]!r}")
-                    elems.append(("E", e[1], idx[e[2]]))
-            subset = frozenset(elems)
+            subset = parse_extended_elements(_load_json(args.elements_file), names)
         else:
             subset = frozenset(m.ground)
         if not subset <= frozenset(m.ground):
@@ -241,17 +221,7 @@ def _cmd_rank(args) -> int:
     if inst.matroid is None:
         raise SchemaError("instance has no matroid; use --extended-k for the extended one")
     if args.elements_file:
-        doc = _load_json(args.elements_file)
-        if not isinstance(doc, dict) or not isinstance(doc.get("elements"), list):
-            raise SchemaError("elements file needs an elements list")
-        elems = []
-        for e in doc["elements"]:
-            if isinstance(e, str):
-                e = [e, 0]
-            if not isinstance(e, list) or len(e) != 2 or e[0] not in idx:
-                raise SchemaError(f"bad root copy reference {e!r}")
-            elems.append((idx[e[0]], e[1]))
-        subset = frozenset(elems)
+        subset = parse_root_copies(_load_json(args.elements_file), names, inst.roots)
     else:
         subset = frozenset(inst.matroid.ground)
     if not subset <= frozenset(inst.matroid.ground):
@@ -340,14 +310,14 @@ def _build_parser(default_cap: int | None = None) -> argparse.ArgumentParser:
 
     p = sub.add_parser("pack", help="find a packing")
     p.add_argument("--spec", required=True,
-                   choices=SPECIES + _PIPELINES)
+                   choices=(*SPECIES, *_PIPELINES))
     common(p)
     p.set_defaults(func=_cmd_pack)
 
     p = sub.add_parser("verify", help="verify a packing file")
     p.add_argument("--packing", required=True, help="packing JSON file")
     p.add_argument("--spec", required=True,
-                   choices=SPECIES + ("main",))
+                   choices=(*SPECIES, "main"))
     common(p)
     p.set_defaults(func=_cmd_verify)
 
@@ -392,7 +362,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     if args.cap is not None and args.cap < 1:
-        print("cap must be at least 1", file=sys.stderr)
+        print("error: cap must be at least 1", file=sys.stderr)
         return EXIT_USAGE
     try:
         return args.func(args)

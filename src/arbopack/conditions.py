@@ -16,7 +16,15 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
-from .gpoly import build_t, feasible, ground_subset_sides
+from .gpoly import (
+    MEMBER_WINDOW,
+    ROOT_WINDOW,
+    build_t,
+    ground_subset_sides,
+    ground_sweep,
+    member_window,
+    root_window,
+)
 from .matroids import Matroid
 from .setfuncs import SetFunctionOracle
 from .structures import (
@@ -79,33 +87,43 @@ _KIND_TESTS = {
 }
 
 
+def check_inputs(inst: Instance, what: str, graph: str = "mixed_hypergraph",
+                 needs: tuple[str, ...] = (), bounds: tuple[str, ...] = (),
+                 requires: tuple = ()) -> None:
+    """Raise ValueError unless inst has everything what reads: a graph of
+    the kind graph (a key of _KIND_TESTS), the Instance fields in needs
+    (roots, matroid and h are checked here, bounds through its fields),
+    the Bounds fields in bounds, and every (test, description) in requires."""
+    test, desc = _KIND_TESTS[graph]
+    if not test(inst.graph):
+        raise ValueError(f"{what} needs {desc}")
+    if "roots" in needs:
+        if inst.roots is None:
+            raise ValueError(f"{what} needs a root multiset")
+        if len(inst.roots.counts) != inst.graph.n:
+            raise ValueError("root multiset does not match the vertex count")
+    if "matroid" in needs:
+        if inst.matroid is None:
+            raise ValueError(f"{what} needs a matroid on the root multiset")
+        if frozenset(inst.matroid.ground) != frozenset(inst.roots.copies()):
+            raise ValueError("matroid ground must be exactly the root copies")
+    if "h" in needs and inst.h is None:
+        raise ValueError(f"{what} needs a set function h")
+    for name in bounds:
+        val = None if inst.bounds is None else getattr(inst.bounds, name)
+        if val is None:
+            raise ValueError(f"{what} needs bounds.{name}")
+        if name in ("f", "g") and len(val) != inst.graph.n:
+            raise ValueError(f"bounds.{name} does not match the vertex count")
+    for holds, description in requires:
+        if not holds(inst):
+            raise ValueError(f"{what} needs {description}")
+
+
 def _need(inst: Instance, cond: ConditionId) -> Condition:
     """The record of cond, once inst has everything it reads."""
     rec = CONDITIONS[cond]
-    test, desc = _KIND_TESTS[rec.graph]
-    if not test(inst.graph):
-        raise ValueError(f"{cond.value} needs {desc}")
-    if "roots" in rec.needs:
-        if inst.roots is None:
-            raise ValueError(f"{cond.value} needs a root multiset")
-        if len(inst.roots.counts) != inst.graph.n:
-            raise ValueError("root multiset does not match the vertex count")
-    if "matroid" in rec.needs:
-        if inst.matroid is None:
-            raise ValueError(f"{cond.value} needs a matroid on the root multiset")
-        if frozenset(inst.matroid.ground) != frozenset(inst.roots.copies()):
-            raise ValueError("matroid ground must be exactly the root copies")
-    if "h" in rec.needs and inst.h is None:
-        raise ValueError(f"{cond.value} needs a set function h")
-    for name in rec.bounds:
-        val = None if inst.bounds is None else getattr(inst.bounds, name)
-        if val is None:
-            raise ValueError(f"{cond.value} needs bounds.{name}")
-        if name in ("f", "g") and len(val) != inst.graph.n:
-            raise ValueError(f"bounds.{name} does not match the vertex count")
-    for holds, what in rec.requires:
-        if not holds(inst):
-            raise ValueError(f"{cond.value} needs {what}")
+    check_inputs(inst, cond.value, rec.graph, rec.needs, rec.bounds, rec.requires)
     return rec
 
 
@@ -209,8 +227,8 @@ _SUBPARTITIONS = _quantifier("subpartition", lambda inst, budget: subpartitions(
     range(inst.graph.n), budget=budget))
 _COMPONENT_FAMILIES = _family_sweep(_iter_component_families)
 _COMPONENT_SUBSETS = _family_sweep(_iter_component_subsets)
-# the emptiness test of T names its own inequalities and notes
-_T_GROUND = Quantifier("ground_subset", lambda inst, budget, value, note: feasible(
+# the rank sweep of T's emptiness test names its own inequalities and notes
+_T_GROUND = Quantifier("ground_subset", lambda inst, budget, value, note: ground_sweep(
     build_t(inst.graph, inst.bounds), budget))
 
 
@@ -331,11 +349,9 @@ _FG_BOUNDED = (
     Check(_SUBPARTITIONS, _bounded(lambda b, rest: b.k - b.f_sum(rest), _g_sum), _FORCED),
 )
 _LIMITED_PRECHECKS = (
-    Check(_VERTEX, lambda inst: lambda v: (inst.bounds.g_k(v), inst.bounds.f[v]),
-          "capped upper root bound below lower"),
-    Check(_GLOBAL, lambda inst: lambda: (min(inst.bounds.g_k_sum(range(inst.graph.n)),
-                                             inst.bounds.lprime), inst.bounds.l),
-          "member minimum unreachable"),
+    Check(_VERTEX, lambda inst: functools.partial(root_window, inst.bounds), ROOT_WINDOW),
+    Check(_GLOBAL, lambda inst: functools.partial(member_window, inst.bounds, inst.graph.n),
+          MEMBER_WINDOW),
 )
 _LIMITED_BOUNDS = ("f", "g", "k", "l", "lprime")
 _POSITIVE = (lambda inst: min(inst.bounds.k, inst.bounds.l, inst.bounds.lprime) >= 1,

@@ -176,7 +176,7 @@ class TPolyhedron:
 
     def __init__(self, f: MixedHypergraph, bounds: Bounds):
         for name in ("f", "g", "k", "l", "lprime"):
-            if getattr(bounds, name) is None:
+            if getattr(bounds, name, None) is None:
                 raise ValueError(f"bounds.{name} is required")
         if len(bounds.f) != f.n or len(bounds.g) != f.n:
             raise ValueError("bounds do not match the vertex count")
@@ -244,23 +244,6 @@ class TPolyhedron:
             self._rank_memo[z] = got
         return got
 
-    def as_gpoly(self) -> GPoly:
-        """The plank-intersected pair as a plain g-polymatroid (without the
-        matroid factor)."""
-        return GPoly(self.ground, self.p, self.b, label="T-pair")
-
-    def prechecks(self) -> dict[str, bool]:
-        """Named emptiness preconditions; all hold on any nonempty T."""
-        b, n = self.bounds, self.f.n
-        return {
-            "lower_at_most_upper": all(b.g_k(v) >= b.f[v] for v in range(n)),
-            "degree_covers_demand": all(
-                b.k - b.g_k(v) <= self.degree[v] for v in range(n)
-            ),
-            "member_window": min(b.g_k_sum(range(n)), b.lprime) >= b.l,
-            "plank_reachable": self.b_sum(frozenset(self.ground)) >= b.k * n - b.lprime,
-        }
-
 
 def build_t(f: MixedHypergraph, bounds: Bounds) -> TPolyhedron:
     return TPolyhedron(f, bounds)
@@ -278,18 +261,42 @@ def _demands(t: TPolyhedron, z: frozenset) -> tuple[int, int]:
     return g_side, f_side
 
 
+# The two bound pre-checks of the emptiness test, each as (lhs, rhs) with
+# lhs >= rhs required, and their notes; the main and lemma1b records in
+# conditions.CONDITIONS read the same functions.
+ROOT_WINDOW = "capped upper root bound below lower"
+MEMBER_WINDOW = "member minimum unreachable"
+
+
+def root_window(b: Bounds, v: int) -> tuple[int, int]:
+    """The upper root bound at v, capped at k, against the lower one."""
+    return b.g_k(v), b.f[v]
+
+
+def member_window(b: Bounds, n: int) -> tuple[int, int]:
+    """The most members the capped upper bounds and lprime allow, against l."""
+    return min(b.g_k_sum(range(n)), b.lprime), b.l
+
+
 def feasible(t: TPolyhedron, cap: int | Budget | None = None) -> Verdict:
-    """T is nonempty iff the bound prechecks hold and, for every element set
-    z, both demand forms stay within the rank of the complement."""
+    """T is nonempty iff the bound pre-checks hold and ground_sweep finds
+    no violated rank inequality."""
     budget = as_budget(cap)
     b, n = t.bounds, t.f.n
     for v in range(n):
-        if b.g_k(v) < b.f[v]:
-            return Verdict(False, Witness("vertex", (v,), b.g_k(v), b.f[v],
-                                          "capped upper root bound below lower"))
-    if min(b.g_k_sum(range(n)), b.lprime) < b.l:
-        return Verdict(False, Witness("global", (), min(b.g_k_sum(range(n)), b.lprime),
-                                      b.l, "member minimum unreachable"))
+        lhs, rhs = root_window(b, v)
+        if lhs < rhs:
+            return Verdict(False, Witness("vertex", (v,), lhs, rhs, ROOT_WINDOW))
+    lhs, rhs = member_window(b, n)
+    if lhs < rhs:
+        return Verdict(False, Witness("global", (), lhs, rhs, MEMBER_WINDOW))
+    return ground_sweep(t, budget)
+
+
+def ground_sweep(t: TPolyhedron, cap: int | Budget | None = None) -> Verdict:
+    """For every element set z, both demand forms must stay within the
+    rank of the complement; the first violation is the witness."""
+    budget = as_budget(cap)
     full = frozenset(t.ground)
     for z in subsets(t.ground, budget=budget):
         rank_rest = t.rank(full - z)
@@ -312,12 +319,6 @@ def ground_subset_sides(t: TPolyhedron, payload: tuple) -> tuple[int, int]:
     z = frozenset(elems)
     g_side, f_side = _demands(t, z)
     return t.rank(frozenset(t.ground) - z), (g_side if which == "g" else f_side)
-
-
-def ground_subset_violates(t: TPolyhedron, payload: tuple) -> bool:
-    """Recompute one recorded emptiness inequality."""
-    lhs, rhs = ground_subset_sides(t, payload)
-    return lhs < rhs
 
 
 def t_contains(t: TPolyhedron, support: frozenset,
@@ -363,14 +364,6 @@ def find_integer_point(t: TPolyhedron, cap: int | Budget | None = None
 # ---------------------------------------------------------------------------
 # translation of an emptiness witness into a subpartition witness
 
-def rank_partition_argmin(t: TPolyhedron, zs: Iterable,
-                          cap: int | Budget | None = None
-                          ) -> tuple[tuple[frozenset[int], ...], int]:
-    """First partition of the vertex set attaining the partition form of the
-    extended matroid rank of z, with the attained value."""
-    return t.matroid.rank_partition_argmin(zs, cap)
-
-
 def violating_subpartition(t: TPolyhedron, elems: Iterable, which: str,
                            cap: int | Budget | None = None
                            ) -> tuple[frozenset[int], ...]:
@@ -381,7 +374,7 @@ def violating_subpartition(t: TPolyhedron, elems: Iterable, which: str,
     "f" where it stays at most k - f(v))."""
     budget = as_budget(cap)
     z = frozenset(elems)
-    parts, _ = rank_partition_argmin(t, frozenset(t.ground) - z, budget)
+    parts, _ = t.matroid.rank_partition_argmin(frozenset(t.ground) - z, budget)
     b, cnt = t.bounds, t.head_counts(z)
     if which == "g":
         room = [b.k - b.g_k(v) for v in range(t.f.n)]

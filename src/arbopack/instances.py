@@ -308,6 +308,37 @@ def set_function_to_doc(fn: SetFunctionOracle, names: tuple[str, ...]) -> dict:
     return {"values": values}
 
 
+def _element_list(doc) -> list:
+    _require(isinstance(doc, dict) and isinstance(doc.get("elements"), list),
+             "elements file needs an elements list")
+    return doc["elements"]
+
+
+def parse_root_copies(doc, names: tuple[str, ...],
+                      roots: RootMultiset | None) -> frozenset[tuple[int, int]]:
+    """The root copies listed in {"elements": [...]}, each [name, copy] or a
+    bare name for copy 0."""
+    _require(roots is not None, "root copy references need roots in the instance")
+    idx = {v: i for i, v in enumerate(names)}
+    return frozenset(_copy_ref(ref, idx, roots) for ref in _element_list(doc))
+
+
+def parse_extended_elements(doc, names: tuple[str, ...]) -> frozenset[tuple]:
+    """The extended-ground elements listed in {"elements": [...]}: ["A", j]
+    for dyperedge j, ["E", i, head-name] for hyperedge i oriented to head."""
+    idx = {v: i for i, v in enumerate(names)}
+    out = []
+    for e in _element_list(doc):
+        _require(isinstance(e, list) and e[:1] in (["A"], ["E"])
+                 and len(e) == (2 if e[0] == "A" else 3) and isinstance(e[1], int),
+                 f"bad extended element {e!r}")
+        if e[0] == "A":
+            out.append(("A", e[1]))
+        else:
+            out.append(("E", e[1], _vertex(e[2], idx, "extended element")))
+    return frozenset(out)
+
+
 def parse_set_function(doc, names: tuple[str, ...]) -> SetFunctionOracle:
     """A table-backed set function: {"values": [{"set": [names], "value": int}, ...]}
     covering every subset of the vertices."""

@@ -39,8 +39,7 @@ class Matroid:
         return z
 
     def independent(self, zs: Iterable) -> bool:
-        z = self._check(zs)
-        return self.rank(z) == len(z)
+        return self._indep(self._check(zs))
 
     def rank(self, zs: Iterable) -> int:
         z = self._check(zs)
@@ -153,9 +152,6 @@ class ExplicitMatroid(Matroid):
         z = self._check(zs)
         return max((len(s) for s in self.family if s <= z), default=0)
 
-    def independent(self, zs: Iterable) -> bool:
-        return self._check(zs) in self.family
-
     def _indep(self, z: frozenset) -> bool:
         return z in self.family
 
@@ -172,11 +168,6 @@ class HypergraphicMatroid(Matroid):
         if any(len(vs) < 2 for vs in self.vertex_sets.values()):
             raise ValueError("hyperedges must span at least 2 vertices")
         self._indep_memo: dict[frozenset, bool] = {}
-
-    @classmethod
-    def from_hyperedges(cls, hyperedges: Sequence[Iterable[int]]) -> "HypergraphicMatroid":
-        sets = [frozenset(e) for e in hyperedges]
-        return cls(range(len(sets)), dict(enumerate(sets)))
 
     def _indep(self, z: frozenset) -> bool:
         got = self._indep_memo.get(z)
@@ -195,9 +186,6 @@ class HypergraphicMatroid(Matroid):
                 break
         self._indep_memo[z] = ok
         return ok
-
-    def independent(self, zs: Iterable) -> bool:
-        return self._indep(self._check(zs))
 
 
 class KSumMatroid(Matroid):
@@ -242,9 +230,6 @@ class KSumMatroid(Matroid):
         self._indep_memo[z] = ok
         return ok
 
-    def independent(self, zs: Iterable) -> bool:
-        return self._indep(self._check(zs))
-
 
 # ---------------------------------------------------------------------------
 # extended ground of a mixed hypergraph
@@ -271,12 +256,6 @@ def element_head(f: MixedHypergraph, elem: tuple) -> int:
     if elem[0] == ARC:
         return f.dyperedges[elem[1]][1]
     return elem[2]
-
-
-def element_tails(f: MixedHypergraph, elem: tuple) -> frozenset[int]:
-    if elem[0] == ARC:
-        return f.dyperedges[elem[1]][0]
-    return f.hyperedges[elem[1]] - {elem[2]}
 
 
 class ExtendedHypergraphicMatroid(Matroid):
@@ -312,17 +291,11 @@ class ExtendedHypergraphicMatroid(Matroid):
             return (ARC, elem[1])
         return (COPY, elem[1])
 
-    def copies_of(self, i: int) -> tuple:
-        return tuple((COPY, i, head) for head in sorted(self.f.hyperedges[i]))
-
     def _indep(self, z: frozenset) -> bool:
         origins = [self.origin(e) for e in z]
         if len(set(origins)) < len(origins):
             return False  # two copies of one hyperedge are parallel
         return self.underlying.independent(origins)
-
-    def independent(self, zs: Iterable) -> bool:
-        return self._indep(self._check(zs))
 
     def rank_partition_argmin(self, zs: Iterable, cap: int | Budget | None = None
                               ) -> tuple[tuple[frozenset[int], ...], int]:

@@ -12,10 +12,10 @@ the constructive routines are compared against.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
-from .conditions import ConditionId, Instance, evaluate
+from .conditions import ConditionId, Instance, check_inputs, evaluate
 from .gpoly import build_t, find_integer_point
 from .matroids import Matroid, check_rank_axioms
 from .orientation import mixed_orient, orientation_space
@@ -36,13 +36,15 @@ from .structures import (
     subsets,
 )
 
-SPECIES = (
-    "spanning",
-    "reachability",
-    "matroid_based",
-    "matroid_reachability_based",
-    "bounded_regular_limited",
-)
+# each species with the PackingSpec fields it reads and the Bounds fields
+# that must be set
+SPECIES = {
+    "spanning": (("roots",), ()),
+    "reachability": (("roots",), ()),
+    "matroid_based": (("roots", "matroid"), ()),
+    "matroid_reachability_based": (("roots", "matroid"), ()),
+    "bounded_regular_limited": (("bounds",), ("f", "g", "k", "l", "lprime")),
+}
 
 
 @dataclass(frozen=True)
@@ -97,22 +99,9 @@ class PackingSpec:
 def _validate_spec(f: MixedHypergraph, spec: PackingSpec) -> None:
     if spec.species not in SPECIES:
         raise ValueError(f"unknown species {spec.species!r}")
-    if spec.species == "bounded_regular_limited":
-        b = spec.bounds
-        if b is None or any(
-            getattr(b, name) is None for name in ("f", "g", "k", "l", "lprime")
-        ):
-            raise ValueError("bounded_regular_limited needs bounds f, g, k, l, lprime")
-        if len(b.f) != f.n or len(b.g) != f.n:
-            raise ValueError("bounds do not match the vertex count")
-        return
-    if spec.roots is None or len(spec.roots.counts) != f.n:
-        raise ValueError(f"{spec.species} needs a root multiset on the vertices")
-    if spec.species in ("matroid_based", "matroid_reachability_based"):
-        if spec.matroid is None:
-            raise ValueError(f"{spec.species} needs a matroid")
-        if frozenset(spec.matroid.ground) != frozenset(spec.roots.copies()):
-            raise ValueError("matroid ground must be exactly the root copies")
+    needs, bounds = SPECIES[spec.species]
+    check_inputs(Instance(f, spec.roots, spec.matroid, spec.bounds), spec.species,
+                 needs=needs, bounds=bounds)
 
 
 def _check_picks(f: MixedHypergraph, packing: Packing) -> None:
@@ -159,6 +148,11 @@ def _member_is_arborescence(m: Member) -> bool:
 
 def _copy_pairs(packing: Packing) -> list[tuple[int, int]]:
     return [(m.root, m.copy) for m in packing.members]
+
+
+def _canonical(picks) -> tuple[Pick, ...]:
+    """The picks of one member in canonical order: by kind, then index."""
+    return tuple(sorted(picks, key=lambda p: (p.kind, p.index)))
 
 
 def verify(f: MixedHypergraph, packing: Packing, spec: PackingSpec,
@@ -275,7 +269,7 @@ def _grow_member(root: int, target: frozenset[int], by_head: dict,
             covered.add(u)
             pending.discard(u)
         if not pending:
-            yield tuple(sorted(picks, key=lambda p: (p.kind, p.index)))
+            yield _canonical(picks)
 
 
 def _pack_members(roots, targets, by_head, budget) -> tuple[Member, ...] | None:
@@ -406,15 +400,30 @@ def find_packing(f: MixedHypergraph, spec: PackingSpec,
                 continue
             members = _pack_members(roots, targets, by_head, budget)
             if members is not None:
-                packing = Packing(members)
-                if not verify(f, packing, spec, budget):
-                    raise PropertyViolationError("search produced an invalid packing")
-                return packing
+                return _certified(f, Packing(members), spec, budget)
     return None
 
 
 # ---------------------------------------------------------------------------
 # constructive pipelines
+
+def _certified(f: MixedHypergraph, packing: Packing, spec: PackingSpec,
+               budget: Budget) -> Packing:
+    """The packing, once verify accepts it; a rejection is a defect."""
+    if not verify(f, packing, spec, budget):
+        raise PropertyViolationError(f"{spec.species} packing failed verification")
+    return packing
+
+
+def _lift(inner: Packing, origin: Sequence[tuple[str, int]]) -> Packing:
+    """Carry a packing of a derived dypergraph back to the graph it came
+    from: dyperedge i of the derived graph is element origin[i], a
+    (kind, index) pair."""
+    return Packing(tuple(
+        Member(m.root, m.copy,
+               _canonical(Pick(*origin[p.index], p.tail, p.head) for p in m.picks))
+        for m in inner.members))
+
 
 def corollary1_pack(d: MixedHypergraph, s: RootMultiset, k: int,
                     cap: int | Budget | None = None) -> Packing | Verdict:
@@ -427,10 +436,6 @@ def corollary1_pack(d: MixedHypergraph, s: RootMultiset, k: int,
     at the new vertex into one member per used root arc.
     """
     budget = as_budget(cap)
-    if not d.is_dypergraph():
-        raise ValueError("packing from a root multiset needs a dypergraph")
-    if len(s.counts) != d.n:
-        raise ValueError("root multiset does not match the vertex count")
     verdict = evaluate(ConditionId.COR1,
                        Instance(graph=d, roots=s, bounds=Bounds(k=k)), budget)
     if not verdict:
@@ -481,20 +486,14 @@ def corollary1_pack(d: MixedHypergraph, s: RootMultiset, k: int,
         for p in big.picks:
             if p.index >= offset:
                 v, copy = copies[p.index - offset]
-                split.append(Member(
-                    v, copy,
-                    tuple(sorted(groups.get(v, ()), key=lambda q: (q.kind, q.index))),
-                ))
+                split.append(Member(v, copy, _canonical(groups.get(v, ()))))
         members.extend(sorted(split, key=lambda mm: (mm.root, mm.copy)))
 
-    packing = Packing(tuple(members))
     spec = PackingSpec(
         "bounded_regular_limited",
         bounds=Bounds(f=(0,) * d.n, g=s.counts, k=k, l=0, lprime=max(k * d.n, 1)),
     )
-    if not verify(d, packing, spec, budget):
-        raise PropertyViolationError("constructed packing failed verification")
-    return packing
+    return _certified(d, Packing(tuple(members)), spec, budget)
 
 
 def mrb_mixed_pack(f: MixedHypergraph, s: RootMultiset, m,
@@ -507,12 +506,7 @@ def mrb_mixed_pack(f: MixedHypergraph, s: RootMultiset, m,
     orientation is impossible.
     """
     budget = as_budget(cap)
-    if not f.is_mixed_graph():
-        raise ValueError("this pipeline needs a mixed graph")
-    if len(s.counts) != f.n:
-        raise ValueError("root multiset does not match the vertex count")
-    if frozenset(m.ground) != frozenset(s.copies()):
-        raise ValueError("matroid ground must be exactly the root copies")
+    check_inputs(Instance(f, s, m), "mrb_mixed", "mixed_graph", ("roots", "matroid"))
     axioms = check_rank_axioms(m, budget)
     if not axioms:
         raise PropertyViolationError(f"matroid fails rank axioms: {axioms.witness.note}")
@@ -527,21 +521,9 @@ def mrb_mixed_pack(f: MixedHypergraph, s: RootMultiset, m,
     if inner is None:
         raise PropertyViolationError("oriented instance lost its guaranteed packing")
 
-    offset = len(f.dyperedges)
-    members = []
-    for mem in inner.members:
-        picks = []
-        for p in mem.picks:
-            if p.index < offset:
-                picks.append(p)
-            else:
-                picks.append(Pick("E", p.index - offset, p.tail, p.head))
-        members.append(Member(mem.root, mem.copy,
-                              tuple(sorted(picks, key=lambda q: (q.kind, q.index)))))
-    packing = Packing(tuple(members))
-    if not verify(f, packing, spec, budget):
-        raise PropertyViolationError("constructed packing failed verification")
-    return packing
+    origin = ([("A", j) for j in range(len(f.dyperedges))]
+              + [("E", i) for i in range(len(f.hyperedges))])
+    return _certified(f, _lift(inner, origin), spec, budget)
 
 
 def main_pack(f: MixedHypergraph, bounds: Bounds,
@@ -581,19 +563,5 @@ def main_pack(f: MixedHypergraph, bounds: Bounds,
     if isinstance(inner, Verdict):
         raise PropertyViolationError("decoded dyperedge set misses the root condition")
 
-    members = []
-    for mem in inner.members:
-        picks = []
-        for p in mem.picks:
-            src = zelems[p.index]
-            if src[0] == "A":
-                picks.append(Pick("A", src[1], p.tail, p.head))
-            else:
-                picks.append(Pick("E", src[1], p.tail, p.head))
-        members.append(Member(mem.root, mem.copy,
-                              tuple(sorted(picks, key=lambda q: (q.kind, q.index)))))
-    packing = Packing(tuple(members))
-    spec = PackingSpec("bounded_regular_limited", bounds=bounds)
-    if not verify(f, packing, spec, budget):
-        raise PropertyViolationError("constructed packing failed verification")
-    return packing
+    return _certified(f, _lift(inner, [e[:2] for e in zelems]),
+                      PackingSpec("bounded_regular_limited", bounds=bounds), budget)

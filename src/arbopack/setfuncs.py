@@ -58,49 +58,43 @@ class SetFunctionOracle:
         return cls(n, fn, label)
 
 
+def _first_pair(ground: Iterable, violated: Callable[[frozenset, frozenset], bool],
+                budget: Budget, include_empty: bool = True
+                ) -> tuple[frozenset, frozenset] | None:
+    """First pair X, Y of subsets of ground, in subset order, for which
+    violated(X, Y) holds, or None; one budget step per pair."""
+    pool = list(ground)
+    for x in subsets(pool, include_empty):
+        for y in subsets(pool, include_empty):
+            budget.spend()
+            if violated(x, y):
+                return (x, y)
+    return None
+
+
 def check_intersecting_supermodular(
     h: SetFunctionOracle, cap: int | Budget | None = None
 ) -> tuple[frozenset[int], frozenset[int]] | None:
     """First pair X, Y with X & Y nonempty violating
     h(X) + h(Y) <= h(X & Y) + h(X | Y), or None."""
-    budget = as_budget(cap)
-    ground = range(h.n)
-    for x in subsets(ground, include_empty=False):
-        for y in subsets(ground, include_empty=False):
-            budget.spend()
-            if not x & y:
-                continue
-            if h(x) + h(y) > h(x & y) + h(x | y):
-                return (x, y)
-    return None
+    return _first_pair(range(h.n), lambda x, y: x & y and h(x) + h(y) > h(x & y) + h(x | y),
+                       as_budget(cap), include_empty=False)
 
 
 def check_supermodular(
     fn: Callable[[frozenset], int], ground: Iterable, cap: int | Budget | None = None
 ) -> tuple[frozenset, frozenset] | None:
     """First pair violating fn(X) + fn(Y) <= fn(X & Y) + fn(X | Y), or None."""
-    budget = as_budget(cap)
-    pool = list(ground)
-    for x in subsets(pool):
-        for y in subsets(pool):
-            budget.spend()
-            if fn(x) + fn(y) > fn(x & y) + fn(x | y):
-                return (x, y)
-    return None
+    return _first_pair(ground, lambda x, y: fn(x) + fn(y) > fn(x & y) + fn(x | y),
+                       as_budget(cap))
 
 
 def check_submodular(
     fn: Callable[[frozenset], int], ground: Iterable, cap: int | Budget | None = None
 ) -> tuple[frozenset, frozenset] | None:
     """First pair violating fn(X) + fn(Y) >= fn(X & Y) + fn(X | Y), or None."""
-    budget = as_budget(cap)
-    pool = list(ground)
-    for x in subsets(pool):
-        for y in subsets(pool):
-            budget.spend()
-            if fn(x) + fn(y) < fn(x & y) + fn(x | y):
-                return (x, y)
-    return None
+    return _first_pair(ground, lambda x, y: fn(x) + fn(y) < fn(x & y) + fn(x | y),
+                       as_budget(cap))
 
 
 def check_cross_inequality(
@@ -110,11 +104,4 @@ def check_cross_inequality(
     cap: int | Budget | None = None,
 ) -> tuple[frozenset, frozenset] | None:
     """First pair violating b(X) - p(Y) >= b(X - Y) - p(Y - X), or None."""
-    budget = as_budget(cap)
-    pool = list(ground)
-    for x in subsets(pool):
-        for y in subsets(pool):
-            budget.spend()
-            if b(x) - p(y) < b(x - y) - p(y - x):
-                return (x, y)
-    return None
+    return _first_pair(ground, lambda x, y: b(x) - p(y) < b(x - y) - p(y - x), as_budget(cap))

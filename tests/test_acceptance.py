@@ -457,7 +457,7 @@ def test_criterion_10_structural_invariants():
         b = _random_window_bounds(rng, n)
         t = build_t(f, b)
         if len(t.ground) <= 5 and feasible(t).holds:
-            if not check_axioms(t.as_gpoly()).holds:
+            if not check_axioms(t).holds:
                 mismatches.append(("nonempty polyhedron axioms", i, f, b))
         checked += 1
     _report(10, "structural invariants", mismatches, checked, t0)

@@ -209,6 +209,19 @@ class TestBoundedConditions:
         assert verdict.witness.kind == "subpartition"
         assert verdict.witness.payload[0] == ()
 
+    def test_lemma1b_runs_the_member_precheck_once(self):
+        calls = []
+
+        class CountingBounds(Bounds):
+            def g_k_sum(self, x):
+                calls.append(tuple(x))
+                return super().g_k_sum(x)
+
+        graph = mh(3, [{0, 1}], [({0}, 1), ({1}, 2), ({2}, 0)])
+        b = CountingBounds(f=(0, 0, 0), g=(1, 1, 1), k=1, l=1, lprime=1)
+        assert evaluate(ConditionId.LEMMA1B, Instance(graph=graph, bounds=b)).holds
+        assert calls == [(0, 1, 2)]
+
     def test_fkk_all_roots_same_vertex(self):
         arcs = [({0}, 1), ({0}, 1)]
         inst = inst_d(2, arcs, (2, 0))

@@ -20,11 +20,9 @@ from arbopack import (
     feasible,
     find_integer_point,
     gpoly_contains,
-    ground_subset_violates,
     integer_points,
     intersect_plank,
     minkowski_sum,
-    rank_partition_argmin,
     subsets,
     t_contains,
     violating_subpartition,
@@ -154,13 +152,6 @@ class TestTPolyhedron:
         assert find_integer_point(t) == ()
         assert list(integer_points(t)) == [frozenset()]
 
-    def test_prechecks_all_named(self):
-        t = build_t(mh(1, (), []), main_bounds(1))
-        checks = t.prechecks()
-        assert set(checks) == {"lower_at_most_upper", "degree_covers_demand",
-                               "member_window", "plank_reachable"}
-        assert all(checks.values())
-
     def test_ground_lists_arcs_then_copies(self):
         f = mh(2, [{0, 1}], [({0}, 1)])
         t = build_t(f, main_bounds(2, k=2, lprime=4))
@@ -235,7 +226,7 @@ class TestWitnessTranslation:
         f = mh(2, [{0, 1}], [({0}, 1)])
         t = build_t(f, main_bounds(2, k=1, l=1, lprime=2))
         for z in subsets(t.ground):
-            parts, val = rank_partition_argmin(t, z)
+            parts, val = t.matroid.rank_partition_argmin(z)
             assert val == t.rank(z)
 
     def test_ground_subset_witness_becomes_subpartition(self):
@@ -249,10 +240,10 @@ class TestWitnessTranslation:
             verdict = feasible(t)
             if verdict.holds or verdict.witness.kind != "ground_subset":
                 continue
-            assert ground_subset_violates(t, verdict.witness.payload)
+            inst = Instance(graph=f, bounds=b)
+            assert witness_violates(ConditionId.LEMMA1B, inst, verdict.witness)
             elems, which = verdict.witness.payload
             parts = violating_subpartition(t, elems, which)
-            inst = Instance(graph=f, bounds=b)
             w = Witness("subpartition", (tuple(parts),))
             assert witness_violates(ConditionId.MAIN, inst, w), (
                 f, b, elems, which, parts)

@@ -330,6 +330,32 @@ class TestCli:
         assert code == EXIT_OK
         assert json.loads(capsys.readouterr().out)["rank"] == by_formula
 
+    @pytest.mark.parametrize("element", [["E", 0], [], ["A", [1]]])
+    def test_rank_extended_malformed_element(self, write_json, capsys, element):
+        path = write_json("i.json", feasible_main())
+        elems = write_json("e.json", {"elements": [element]})
+        code = main(["rank", "--instance", path, "--extended-k", "1",
+                     "--elements-file", elems])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: bad extended element")
+
+    @pytest.mark.parametrize("spec, drop", [
+        ("main", "bounds"), ("cor1", "bounds"), ("cor1", "roots"),
+        ("mrb_mixed", "matroid"), ("mrb_mixed", "roots"),
+    ])
+    def test_pack_pipeline_missing_input(self, write_json, capsys, spec, drop):
+        doc = feasible_main()
+        doc["hyperedges"] = [] if spec == "cor1" else doc["hyperedges"]
+        doc["roots"] = {"a": 1}
+        doc["matroid"] = {"kind": "free"}
+        del doc[drop]
+        if drop == "roots":
+            del doc["matroid"]  # a matroid on root copies needs the roots
+        path = write_json("i.json", doc)
+        assert main(["pack", "--spec", spec, "--instance", path]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+
     def test_tpoly_point(self, write_json, capsys):
         path = write_json("i.json", feasible_main())
         code = main(["tpoly", "--point", "--instance", path,
@@ -360,10 +386,11 @@ class TestCli:
         assert main(["check", "--theorem", "main", "--instance", path,
                      "--cap", "1"]) == EXIT_CAP
 
-    def test_cap_zero_rejected(self, write_json):
+    def test_cap_zero_rejected(self, write_json, capsys):
         path = write_json("i.json", feasible_main())
         assert main(["check", "--theorem", "main", "--instance", path,
                      "--cap", "0"]) == EXIT_USAGE
+        assert capsys.readouterr().err == "error: cap must be at least 1\n"
 
     def test_env_cap(self, write_json, monkeypatch):
         monkeypatch.setenv("ARBOPACK_CAP", "1")

@@ -235,6 +235,10 @@ class TestCorollary1:
         got = corollary1_pack(d, s, 1)
         assert isinstance(got, Packing)
 
+    def test_requires_dypergraph(self):
+        with pytest.raises(ValueError):
+            corollary1_pack(mh(2, [{0, 1}], []), RootMultiset((1, 0)), 1)
+
 
 class TestMrbMixed:
     def test_single_edge_free(self):
@@ -251,6 +255,12 @@ class TestMrbMixed:
         s = RootMultiset((1, 0, 0))
         with pytest.raises(ValueError):
             mrb_mixed_pack(f, s, FreeMatroid(s.copies()))
+
+    def test_requires_matroid_on_the_root_copies(self):
+        f = mh(2, [{0, 1}], [])
+        s = RootMultiset((1, 0))
+        with pytest.raises(ValueError):
+            mrb_mixed_pack(f, s, FreeMatroid(RootMultiset((1, 1)).copies()))
 
     def test_infeasible_gives_component_witness(self):
         f = mh(2, (), [])
