@@ -85,7 +85,6 @@ from .structures import (
     MixedHypergraph,
     PropertyViolationError,
     RootMultiset,
-    Subpartition,
     Verdict,
     Witness,
     entering_count,
@@ -95,12 +94,10 @@ from .structures import (
     orient_all,
     reach_from,
     reach_to,
-    rho,
     scc_condense,
     set_partitions,
     subpartitions,
     subsets,
-    trim,
 )
 
 __version__ = "0.1.0"

@@ -234,24 +234,19 @@ def _cmd_tpoly(args) -> int:
     inst, names = _load_instance(args.instance)
     t = build_t(inst.graph, inst.bounds)
     if args.point:
-        point = find_integer_point(t, args.cap)
-        if point is not None:
+        result = find_integer_point(t, args.cap)
+        if not isinstance(result, Verdict):
             _emit({"feasible": True,
-                   "point": [_elem_doc(e, names) for e in sorted(point, key=repr)]},
+                   "point": [_elem_doc(e, names) for e in sorted(result, key=repr)]},
                   args)
             return EXIT_OK
-        verdict = feasible(t, args.cap)
-        doc = {"feasible": False}
-        if verdict.witness is not None:
-            doc["witness"] = witness_to_doc(verdict.witness, names)
-        _emit(doc, args)
-        return EXIT_FAIL
-    verdict = feasible(t, args.cap)
-    if verdict.holds:
-        _emit({"feasible": True}, args)
-        return EXIT_OK
+    else:
+        result = feasible(t, args.cap)
+        if result.holds:
+            _emit({"feasible": True}, args)
+            return EXIT_OK
     _emit({"feasible": False,
-           "witness": witness_to_doc(verdict.witness, names)}, args)
+           "witness": witness_to_doc(result.witness, names)}, args)
     return EXIT_FAIL
 
 

@@ -165,6 +165,18 @@ def _global_sweep(inst, budget, value, note) -> Verdict:
     return HOLDS
 
 
+def closed_extensions(f: MixedHypergraph, outside: list[int], trace: frozenset[int],
+                      budget: Budget) -> Iterator[frozenset[int]]:
+    """The sets Y in a component's closure that meet the component C in
+    trace and have nothing entering Y - C: trace plus each subset of
+    outside (the closure minus C, sorted) that nothing enters, in subset
+    order; one budget step per subset."""
+    for extra in subsets(outside):
+        budget.spend()
+        if entering_count(f, (extra,)) == 0:
+            yield trace | extra
+
+
 def _iter_component_families(
     f: MixedHypergraph, budget: Budget
 ) -> Iterator[tuple[frozenset[int], frozenset[int], tuple[frozenset[int], ...]]]:
@@ -174,14 +186,8 @@ def _iter_component_families(
     for c in scc_condense(f):
         p = reach_to(f, c)
         outside = sorted(p - c)
-        cands: dict[frozenset[int], list[frozenset[int]]] = {}
-        for trace in subsets(sorted(c), include_empty=False):
-            found = []
-            for extra in subsets(outside):
-                budget.spend()
-                if entering_count(f, (extra,)) == 0:
-                    found.append(trace | extra)
-            cands[trace] = found
+        cands = {trace: list(closed_extensions(f, outside, trace, budget))
+                 for trace in subsets(sorted(c), include_empty=False)}
         for traces in subpartitions(sorted(c), budget=budget):
             if not traces:
                 continue

@@ -37,26 +37,6 @@ from .structures import (
     subsets,
 )
 
-SUITES = (
-    "edmonds_oracle",
-    "main_oracle",
-    "kiraly_gy",
-    "orient_reduction",
-    "lemma1_main",
-    "ksum_rank",
-)
-
-# brute-force routes stay desk-sized no matter what the caller asks for
-_SUITE_N_MAX = {
-    "edmonds_oracle": 3,
-    "main_oracle": 3,
-    "kiraly_gy": 4,
-    "orient_reduction": 3,
-    "lemma1_main": 3,
-    "ksum_rank": 3,
-}
-
-
 def default_names(n: int) -> tuple[str, ...]:
     return tuple(f"v{i}" for i in range(n))
 
@@ -227,25 +207,28 @@ def _check_ksum_rank(rng, n_max, budget, evaluator):
     return Instance(graph=graph), True, True, {"k": k, "samples": len(samples)}
 
 
-_CHECKS = {
-    "edmonds_oracle": _check_edmonds_oracle,
-    "main_oracle": _check_main_oracle,
-    "kiraly_gy": _check_kiraly_gy,
-    "orient_reduction": _check_orient_reduction,
-    "lemma1_main": _check_lemma1_main,
-    "ksum_rank": _check_ksum_rank,
+# suite name -> (check, largest vertex count); the brute-force routes stay
+# desk-sized no matter what the caller asks for
+_SUITES = {
+    "edmonds_oracle": (_check_edmonds_oracle, 3),
+    "main_oracle": (_check_main_oracle, 3),
+    "kiraly_gy": (_check_kiraly_gy, 4),
+    "orient_reduction": (_check_orient_reduction, 3),
+    "lemma1_main": (_check_lemma1_main, 3),
+    "ksum_rank": (_check_ksum_rank, 3),
 }
+SUITES = tuple(_SUITES)
 
 
 def run_suite(name: str, seed: int, count: int = 100, n_max: int = 4,
               cap: int | None = None, evaluator=evaluate) -> dict:
     """Run one differential suite; the report lists every mismatch with a
     replayable instance document."""
-    if name not in _CHECKS:
+    if name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}")
     rng = random.Random(f"{seed}:{name}")
-    limit = min(n_max, _SUITE_N_MAX[name])
-    check = _CHECKS[name]
+    check, size_limit = _SUITES[name]
+    limit = min(n_max, size_limit)
     checked = 0
     skipped = 0
     mismatches = []

@@ -24,6 +24,7 @@ from .structures import (
     Verdict,
     Witness,
     as_budget,
+    memo,
     subsets,
 )
 
@@ -36,30 +37,19 @@ class GPoly:
         self.ground = tuple(ground)
         self.label = label
         self._p_fn, self._b_fn = p, b
-        self._p_memo: dict[frozenset, int] = {}
-        self._b_memo: dict[frozenset, int] = {}
 
-    def _check(self, zs: Iterable) -> frozenset:
-        z = frozenset(zs)
+    def _check(self, z: frozenset) -> frozenset:
         if z - frozenset(self.ground):
             raise ValueError("subset uses elements not in the ground")
         return z
 
-    def p(self, zs: Iterable) -> int:
-        z = self._check(zs)
-        got = self._p_memo.get(z)
-        if got is None:
-            got = int(self._p_fn(z))
-            self._p_memo[z] = got
-        return got
+    @memo
+    def p(self, z: frozenset) -> int:
+        return int(self._p_fn(self._check(z)))
 
-    def b(self, zs: Iterable) -> int:
-        z = self._check(zs)
-        got = self._b_memo.get(z)
-        if got is None:
-            got = int(self._b_fn(z))
-            self._b_memo[z] = got
-        return got
+    @memo
+    def b(self, z: frozenset) -> int:
+        return int(self._b_fn(self._check(z)))
 
 
 @dataclass(frozen=True)
@@ -190,9 +180,6 @@ class TPolyhedron:
         self.degree = tuple(
             sum(1 for h in self.heads if h == v) for v in range(f.n)
         )
-        self._p_memo: dict[frozenset, int] = {}
-        self._b_memo: dict[frozenset, int] = {}
-        self._rank_memo: dict[frozenset, int] = {}
 
     def head_counts(self, z: frozenset) -> tuple[int, ...]:
         """In-degree of every vertex in the element set z."""
@@ -214,35 +201,24 @@ class TPolyhedron:
         b, cnt = self.bounds, self.head_counts(z)
         return sum(min(cnt[v], b.k - b.f[v]) for v in range(self.f.n))
 
-    def p(self, zs: Iterable) -> int:
+    @memo
+    def p(self, z: frozenset) -> int:
         """Lower bound after intersecting the summed pieces with the plank."""
-        z = frozenset(zs)
-        got = self._p_memo.get(z)
-        if got is None:
-            b = self.bounds
-            rest = frozenset(self.ground) - z
-            got = max(self.p_sum(z), b.k * self.f.n - b.lprime - self.b_sum(rest))
-            self._p_memo[z] = got
-        return got
+        b = self.bounds
+        rest = frozenset(self.ground) - z
+        return max(self.p_sum(z), b.k * self.f.n - b.lprime - self.b_sum(rest))
 
-    def b(self, zs: Iterable) -> int:
+    @memo
+    def b(self, z: frozenset) -> int:
         """Upper bound after intersecting the summed pieces with the plank."""
-        z = frozenset(zs)
-        got = self._b_memo.get(z)
-        if got is None:
-            b = self.bounds
-            rest = frozenset(self.ground) - z
-            got = min(self.b_sum(z), b.k * self.f.n - b.l - self.p_sum(rest))
-            self._b_memo[z] = got
-        return got
+        b = self.bounds
+        rest = frozenset(self.ground) - z
+        return min(self.b_sum(z), b.k * self.f.n - b.l - self.p_sum(rest))
 
     def rank(self, zs: Iterable) -> int:
-        z = frozenset(zs)
-        got = self._rank_memo.get(z)
-        if got is None:
-            got = self.matroid.rank(z)
-            self._rank_memo[z] = got
-        return got
+        """Rank in the extended matroid; uncached, since the emptiness
+        sweep asks for each complement once."""
+        return self.matroid.rank(zs)
 
 
 def build_t(f: MixedHypergraph, bounds: Bounds) -> TPolyhedron:
@@ -345,10 +321,11 @@ def integer_points(t: TPolyhedron, cap: int | Budget | None = None):
 
 
 def find_integer_point(t: TPolyhedron, cap: int | Budget | None = None
-                       ) -> tuple | None:
+                       ) -> tuple | Verdict:
     """First 0/1 member of T in support order, as a tuple of ground
-    elements, or None.  The outcome is cross-checked against feasible();
-    disagreement means a defect, not an input problem."""
+    elements, or the failing feasible() verdict when T is empty.  The
+    outcome is cross-checked against feasible(); disagreement means a
+    defect, not an input problem."""
     budget = as_budget(cap)
     found: tuple | None = None
     for support in integer_points(t, budget):
@@ -358,7 +335,7 @@ def find_integer_point(t: TPolyhedron, cap: int | Budget | None = None
     if bool(verdict) != (found is not None):
         raise PropertyViolationError(
             "integer point search and emptiness test disagree")
-    return found
+    return verdict if found is None else found
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from .structures import (
     as_budget,
     dyperedge_enters,
     hyperedge_enters,
+    memo,
     set_partitions,
     subsets,
 )
@@ -167,25 +168,17 @@ class HypergraphicMatroid(Matroid):
         self.vertex_sets = {e: frozenset(vertex_sets[e]) for e in self.ground}
         if any(len(vs) < 2 for vs in self.vertex_sets.values()):
             raise ValueError("hyperedges must span at least 2 vertices")
-        self._indep_memo: dict[frozenset, bool] = {}
 
+    @memo
     def _indep(self, z: frozenset) -> bool:
-        got = self._indep_memo.get(z)
-        if got is not None:
-            return got
-        ok = True
         for r in range(1, len(z) + 1):
             for combo in itertools.combinations(sorted(z, key=repr), r):
                 spanned: frozenset[int] = frozenset()
                 for e in combo:
                     spanned |= self.vertex_sets[e]
                 if len(spanned) <= len(combo):
-                    ok = False
-                    break
-            if not ok:
-                break
-        self._indep_memo[z] = ok
-        return ok
+                    return False
+        return True
 
 
 class KSumMatroid(Matroid):
@@ -200,35 +193,31 @@ class KSumMatroid(Matroid):
         self.inner = inner
         self.k = k
         self.ground = inner.ground
-        self._indep_memo: dict[frozenset, bool] = {}
 
+    @memo
     def _indep(self, z: frozenset) -> bool:
-        got = self._indep_memo.get(z)
-        if got is not None:
-            return got
-        items = sorted(z, key=repr)
-        bins: list[set] = []
+        return self._place(sorted(z, key=repr), [], 0)
 
-        def place(i: int) -> bool:
-            if i == len(items):
-                return True
-            for b in bins:
-                b.add(items[i])
-                if self.inner.independent(b) and place(i + 1):
-                    b.discard(items[i])
-                    return True
+    def _place(self, items: list, bins: list[set], i: int) -> bool:
+        """Can items[i:] join the bins, opening at most k in all, with every
+        bin independent in the inner matroid?  A method, not a nested
+        function: a recursive closure is a reference cycle that keeps this
+        matroid and its memo alive until the cyclic collector runs."""
+        if i == len(items):
+            return True
+        for b in bins:
+            b.add(items[i])
+            if self.inner.independent(b) and self._place(items, bins, i + 1):
                 b.discard(items[i])
-            if len(bins) < self.k:
-                bins.append({items[i]})
-                if self.inner.independent(bins[-1]) and place(i + 1):
-                    bins.pop()
-                    return True
+                return True
+            b.discard(items[i])
+        if len(bins) < self.k:
+            bins.append({items[i]})
+            if self.inner.independent(bins[-1]) and self._place(items, bins, i + 1):
                 bins.pop()
-            return False
-
-        ok = place(0)
-        self._indep_memo[z] = ok
-        return ok
+                return True
+            bins.pop()
+        return False
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .conditions import ConditionId, Instance, evaluate
+from .conditions import ConditionId, Instance, closed_extensions, evaluate
 from .setfuncs import SetFunctionOracle, check_intersecting_supermodular
 from .structures import (
     HOLDS,
@@ -28,6 +28,7 @@ from .structures import (
     entering_count,
     hyperedge_enters,
     in_degree,
+    induced_subgraph,
     orient_all,
     reach_to,
     scc_condense,
@@ -183,11 +184,7 @@ def compute_h2(f: MixedHypergraph, h: SetFunctionOracle, c: frozenset[int],
     for x in subsets(sorted(c), include_empty=False, budget=budget):
         best: int | None = None
         best_y: frozenset[int] = x
-        for extra in subsets(outside):
-            budget.spend()
-            if entering_count(f, (extra,)) != 0:
-                continue
-            y = x | extra
+        for y in closed_extensions(f, outside, x, budget):
             val = h(y) - in_degree(f, y)
             if best is None or val > best:
                 best, best_y = val, y
@@ -231,12 +228,9 @@ def mixed_orient(f: MixedHypergraph, h: SetFunctionOracle,
                 "lifted demand of a whole component must vanish; "
                 "h breaks its declared properties")
         order = sorted(c)
-        relabel = {v: i for i, v in enumerate(order)}
-        hmap = [i for i, e in enumerate(f.hyperedges) if e <= c]
-        local_edges = tuple(
-            frozenset(relabel[v] for v in f.hyperedges[i]) for i in hmap
-        )
-        local_graph = MixedHypergraph(len(order), local_edges, ())
+        # h2 already counts the dyperedges, so only the hyperedges are oriented
+        sub, hmap, _ = induced_subgraph(f, c)
+        local_graph = MixedHypergraph(sub.n, sub.hyperedges)
 
         def local_h(xl: frozenset[int], _w=w, _base=base, _order=order) -> int:
             if not xl:
@@ -305,9 +299,5 @@ def reduce_frank_to_new(g: MixedHypergraph, h: SetFunctionOracle,
         return h(x - {s})
 
     h2 = SetFunctionOracle(g.n + 1, lifted, "h'")
-    if g2.n <= _VERIFY_SUPERMOD_LIMIT:
-        bad = check_intersecting_supermodular(h2, budget)
-        if bad:
-            raise PropertyViolationError(
-                f"lifted function lost intersecting supermodularity at {bad}")
+    _require_intersecting_supermodular(h2, budget)
     return g2, h2

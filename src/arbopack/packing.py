@@ -539,7 +539,7 @@ def main_pack(f: MixedHypergraph, bounds: Bounds,
     budget = as_budget(cap)
     t = build_t(f, bounds)
     point = find_integer_point(t, budget)
-    if point is None:
+    if isinstance(point, Verdict):
         verdict = evaluate(ConditionId.MAIN, Instance(graph=f, bounds=bounds), budget)
         if verdict.holds:
             raise PropertyViolationError(

@@ -7,9 +7,9 @@ so they are meant for small grounds and guard themselves with a budget.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .structures import Budget, as_budget, subsets
+from .structures import Budget, as_budget, memo, subsets
 
 
 @dataclass
@@ -23,15 +23,10 @@ class SetFunctionOracle:
     n: int
     fn: Callable[[frozenset[int]], int]
     label: str = "h"
-    _memo: dict = field(default_factory=dict, repr=False, compare=False)
 
-    def __call__(self, x: Iterable[int]) -> int:
-        key = frozenset(x)
-        got = self._memo.get(key)
-        if got is None:
-            got = int(self.fn(key))
-            self._memo[key] = got
-        return got
+    @memo
+    def __call__(self, x: frozenset[int]) -> int:
+        return int(self.fn(x))
 
     @classmethod
     def from_table(cls, n: int, table: dict[frozenset[int], int], label: str = "h"):

@@ -7,12 +7,15 @@ obvious restrictions.  Traversal semantics: a hyperedge can be walked
 between any two of its vertices, a dyperedge only from a tail to its head.
 
 Everything here is immutable and pure; derived data (reachability, strongly
-connected components) is memoized on the instance.
+connected components) is memoized on the instance.  The ``memo`` decorator
+gives the set-function, polyhedron and matroid oracles their per-instance
+caches.
 """
 from __future__ import annotations
 
+import functools
 import itertools
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 
 DEFAULT_CAP = 10_000_000
@@ -47,6 +50,36 @@ def as_budget(cap: int | Budget | None) -> Budget:
     if isinstance(cap, Budget):
         return cap
     return Budget(DEFAULT_CAP if cap is None else cap)
+
+
+def memo(method: Callable) -> Callable:
+    """Cache ``method(self, zs)`` per instance, keyed by ``frozenset(zs)``.
+
+    The method receives the frozenset, so callers may pass any iterable.
+    The table is an attribute of the instance itself, never held by a
+    closure or bound method that points back at the instance, so it is
+    freed with the instance without waiting for the cyclic garbage
+    collector.  It is set with setattr, not through ``vars(self)``, which
+    would turn the instance's inline attribute storage into a plain dict
+    and slow every later attribute read on it.  Only returned values are
+    stored, and None counts as not stored: a key the method rejects by
+    raising is rejected again on every call.
+    """
+    slot = f"_memo_{method.__qualname__}"
+
+    @functools.wraps(method)
+    def cached(self, zs):
+        key = frozenset(zs)
+        table = getattr(self, slot, None)
+        if table is None:
+            table = {}
+            setattr(self, slot, table)
+        got = table.get(key)
+        if got is None:
+            got = table[key] = method(self, key)
+        return got
+
+    return cached
 
 
 # ---------------------------------------------------------------------------
@@ -133,9 +166,6 @@ class MixedHypergraph:
     def vertices(self) -> frozenset[int]:
         return frozenset(range(self.n))
 
-    def is_graph(self) -> bool:
-        return not self.dyperedges and all(len(e) == 2 for e in self.hyperedges)
-
     def is_digraph(self) -> bool:
         return not self.hyperedges and all(len(z) == 1 for z, _ in self.dyperedges)
 
@@ -146,14 +176,6 @@ class MixedHypergraph:
 
     def is_dypergraph(self) -> bool:
         return not self.hyperedges
-
-
-def trim(dyperedge: Dyperedge, tail: int) -> Dyperedge:
-    """Trim a dyperedge to the arc tail -> head."""
-    tails, head = dyperedge
-    if tail not in tails:
-        raise ValueError(f"{tail} is not a tail of the dyperedge")
-    return (frozenset((tail,)), head)
 
 
 def orient(hyperedge: frozenset[int], head: int) -> Dyperedge:
@@ -292,11 +314,6 @@ def in_degree(f: MixedHypergraph, x: frozenset[int]) -> int:
     return sum(1 for d in f.dyperedges if dyperedge_enters(d, x))
 
 
-def rho(f: MixedHypergraph, x: frozenset[int]) -> tuple[int, ...]:
-    """Indices of the dyperedges entering x."""
-    return tuple(j for j, d in enumerate(f.dyperedges) if dyperedge_enters(d, x))
-
-
 def entering_count(f: MixedHypergraph, parts: Iterable[frozenset[int]]) -> int:
     """Number of elements (hyperedges or dyperedges) entering at least one
     of the given sets, each element counted once."""
@@ -312,7 +329,7 @@ def entering_count(f: MixedHypergraph, parts: Iterable[frozenset[int]]) -> int:
 
 
 # ---------------------------------------------------------------------------
-# root multisets, bounds, subpartitions
+# root multisets and bounds
 
 @dataclass(frozen=True)
 class RootMultiset:
@@ -395,40 +412,6 @@ class Bounds:
 
     def f_sum(self, x: Iterable[int]) -> int:
         return sum(self.f[v] for v in x)
-
-
-@dataclass(frozen=True)
-class Subpartition:
-    """Pairwise disjoint nonempty vertex subsets.  May be empty; it is a
-    partition of V exactly when the parts cover V."""
-
-    parts: tuple[frozenset[int], ...]
-
-    def __post_init__(self):
-        parts = tuple(frozenset(p) for p in self.parts)
-        object.__setattr__(self, "parts", parts)
-        seen: set[int] = set()
-        for p in parts:
-            if not p:
-                raise ValueError("subpartition parts must be nonempty")
-            if p & seen:
-                raise ValueError("subpartition parts must be disjoint")
-            seen |= p
-
-    def union(self) -> frozenset[int]:
-        out: frozenset[int] = frozenset()
-        for p in self.parts:
-            out |= p
-        return out
-
-    def is_partition(self, n: int) -> bool:
-        return len(self.union()) == n
-
-    def __len__(self) -> int:
-        return len(self.parts)
-
-    def __iter__(self):
-        return iter(self.parts)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,8 @@ import json
 
 import pytest
 
+import arbopack.cli
+import arbopack.gpoly
 from arbopack import (
     SCHEMA_VERSION,
     SchemaError,
@@ -363,6 +365,29 @@ class TestCli:
         assert code == EXIT_OK
         report = json.loads(capsys.readouterr().out)
         assert report["feasible"] is True and "point" in report
+
+    @pytest.mark.parametrize("flags", [["--point"], []], ids=["point", "plain"])
+    def test_tpoly_empty_reports_witness(self, write_json, capsys, monkeypatch, flags):
+        calls = []
+        original = arbopack.gpoly.feasible
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(arbopack.gpoly, "feasible", counted)
+        monkeypatch.setattr(arbopack.cli, "feasible", counted)
+        # two vertices and no elements, but k * n - lprime = 1 vertex must
+        # be entered by an element: T is empty
+        doc = {"schema_version": SCHEMA_VERSION, "vertices": ["a", "b"],
+               "bounds": {"f": 1, "g": 1, "k": 1, "l": 1, "lprime": 1}}
+        path = write_json("i.json", doc)
+        code = main(["tpoly", *flags, "--instance", path, "--output", "json"])
+        assert code == EXIT_FAIL
+        report = json.loads(capsys.readouterr().out)
+        assert report["feasible"] is False
+        assert report["witness"]["kind"] == "ground_subset"
+        assert len(calls) == 1
 
     def test_malformed_json_usage_error(self, tmp_path):
         path = tmp_path / "bad.json"

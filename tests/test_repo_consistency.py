@@ -7,6 +7,7 @@ from pathlib import Path
 
 from arbopack import SetFunctionOracle, TPolyhedron
 from arbopack.conditions import CONDITIONS
+from arbopack.fuzz import SUITES
 from arbopack.packing import SPECIES
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -27,6 +28,11 @@ def test_readme_lists_every_condition():
 def test_readme_lists_every_species():
     names = _readme_names(r"`--spec` takes a species \((.*?)\)")
     assert names == list(SPECIES)
+
+
+def test_readme_lists_every_fuzz_suite():
+    names = _readme_names(r"Run the differential fuzz suites \((.*?)\)")
+    assert names == list(SUITES)
 
 
 def test_traced_names_resolve():

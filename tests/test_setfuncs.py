@@ -31,18 +31,6 @@ class TestOracle:
         with pytest.raises(KeyError):
             SetFunctionOracle(1, lambda x: {}[x])(frozenset({0}))
 
-    def test_memoizes_calls(self):
-        calls = []
-
-        def fn(x):
-            calls.append(x)
-            return len(x)
-
-        h = SetFunctionOracle(2, fn)
-        assert h((0,)) == 1
-        assert h([0]) == 1
-        assert len(calls) == 1
-
     def test_from_matroid_roots_is_negated_rank(self):
         s = RootMultiset((2, 1))
         m = UniformMatroid(s.copies(), 2)

@@ -1,17 +1,26 @@
 """Core structures: reachability, condensation, entering counts, budgets,
-and the canonical enumeration orders everything downstream relies on."""
+the canonical enumeration orders everything downstream relies on, and the
+oracle memo."""
+import gc
 import itertools
+import weakref
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arbopack import (
+    Bounds,
     Budget,
     CapExceededError,
+    GPoly,
+    HypergraphicMatroid,
+    KSumMatroid,
     MixedHypergraph,
     RootMultiset,
-    Subpartition,
+    SetFunctionOracle,
+    TPolyhedron,
+    build_t,
     entering_count,
     in_degree,
     induced_subgraph,
@@ -19,13 +28,13 @@ from arbopack import (
     orient_all,
     reach_from,
     reach_to,
-    rho,
     scc_condense,
     set_partitions,
     subpartitions,
     subsets,
-    trim,
+    t_contains,
 )
+from arbopack.structures import memo
 
 from conftest import arc, mh
 
@@ -69,12 +78,10 @@ class TestConstruction:
             mh(2, [{0, 2}], [])
 
     def test_kind_predicates(self):
-        assert mh(2, [{0, 1}], []).is_graph()
         assert mh(2, [], [({0}, 1)]).is_digraph()
         assert mh(2, [{0, 1}], [({0}, 1)]).is_mixed_graph()
         assert mh(3, [], [({0, 1}, 2)]).is_dypergraph()
         assert not mh(3, [], [({0, 1}, 2)]).is_digraph()
-        assert not mh(3, [{0, 1, 2}], []).is_graph()
 
     def test_parallel_elements_stay_distinct(self):
         f = mh(2, [{0, 1}, {0, 1}], [({0}, 1), ({0}, 1)])
@@ -83,13 +90,6 @@ class TestConstruction:
 
 
 class TestTrimOrient:
-    def test_trim_picks_tail(self):
-        assert trim((frozenset({0, 1}), 2), 1) == (frozenset({1}), 2)
-
-    def test_trim_rejects_non_tail(self):
-        with pytest.raises(ValueError):
-            trim((frozenset({0}), 1), 1)
-
     def test_orient_makes_dyperedge(self):
         assert orient(frozenset({0, 1, 2}), 2) == (frozenset({0, 1}), 2)
 
@@ -211,11 +211,6 @@ class TestEnteringCounts:
         assert entering_count(f, (frozenset({2}),)) == 0
         assert entering_count(f, (frozenset({0, 1}),)) == 0
 
-    def test_rho_lists_entering_dyperedge_indices(self):
-        f = mh(3, [], [({0}, 1), ({2}, 1), ({1}, 0)])
-        assert rho(f, frozenset({1})) == (0, 1)
-        assert rho(f, frozenset({0, 1})) == (1,)
-
     def test_entering_count_counts_each_element_once(self):
         # one hyperedge crossing both parts is still one element
         f = mh(3, [{0, 1, 2}], [])
@@ -278,12 +273,6 @@ class TestEnumerationOrders:
         # empty, {0}, {1}, {0,1}, {0}{1}
         assert len(got) == 5
 
-    def test_subpartition_validation(self):
-        with pytest.raises(ValueError):
-            Subpartition((frozenset(), frozenset({1})))
-        with pytest.raises(ValueError):
-            Subpartition((frozenset({0}), frozenset({0, 1})))
-
 
 class TestRootMultiset:
     def test_copies_enumerate_multiplicity(self):
@@ -300,6 +289,68 @@ class TestRootMultiset:
     def test_negative_counts_rejected(self):
         with pytest.raises(ValueError):
             RootMultiset((-1,))
+
+
+def _polyhedron():
+    return build_t(mh(2, [{0, 1}], [({0}, 1)]),
+                   Bounds(f=(0, 0), g=(1, 1), k=1, l=1, lprime=2))
+
+
+def _triangle():
+    return HypergraphicMatroid("xyz", {"x": {0, 1}, "y": {1, 2}, "z": {0, 2}})
+
+
+# every method cached by memo, with a factory for a small instance
+MEMOIZED = [
+    (SetFunctionOracle, "__call__", lambda: SetFunctionOracle(3, len)),
+    (GPoly, "p", lambda: GPoly(range(3), len, lambda z: 2 * len(z))),
+    (GPoly, "b", lambda: GPoly(range(3), len, lambda z: 2 * len(z))),
+    (TPolyhedron, "p", _polyhedron),
+    (TPolyhedron, "b", _polyhedron),
+    (HypergraphicMatroid, "_indep", _triangle),
+    (KSumMatroid, "_indep", lambda: KSumMatroid(_triangle(), 2)),
+]
+
+
+class TestMemo:
+    @pytest.mark.parametrize("cls, name, make", MEMOIZED,
+                             ids=[f"{cls.__name__}.{name}" for cls, name, _ in MEMOIZED])
+    def test_memoizes_calls(self, monkeypatch, cls, name, make):
+        wrapper = vars(cls)[name]
+        assert wrapper.__code__ is memo(len).__code__
+        runs = []
+
+        def body(obj, key):
+            runs.append((obj, key))
+            return wrapper.__wrapped__(obj, key)
+
+        monkeypatch.setattr(cls, name, memo(body))
+        for obj in (make(), make()):
+            ground = obj.ground if hasattr(obj, "ground") else range(obj.n)
+            keys = list(subsets(ground))
+            values = [getattr(obj, name)(z) for z in keys]
+            assert [getattr(obj, name)(sorted(z, key=repr)) for z in keys] == values
+            assert [z for owner, z in runs if owner is obj] == keys
+
+    def test_rejected_key_is_checked_on_every_call(self):
+        q = GPoly(range(2), len, len)
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                q.p({0, 5})
+        assert q.p({0}) == 1
+
+    def test_polyhedron_freed_without_cyclic_gc(self):
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            t = _polyhedron()
+            t_contains(t, frozenset({t.ground[0]}))
+            refs = [weakref.ref(t), weakref.ref(t.matroid.underlying)]
+            del t
+            assert [ref() for ref in refs] == [None, None]
+        finally:
+            if was_enabled:
+                gc.enable()
 
 
 def test_arc_helper_matches_manual():
