@@ -166,14 +166,18 @@ def _global_sweep(inst, budget, value, note) -> Verdict:
 
 
 def closed_extensions(f: MixedHypergraph, outside: list[int], trace: frozenset[int],
-                      budget: Budget) -> Iterator[frozenset[int]]:
+                      budget: Budget, closed: list[bool]) -> Iterator[frozenset[int]]:
     """The sets Y in a component's closure that meet the component C in
     trace and have nothing entering Y - C: trace plus each subset of
     outside (the closure minus C, sorted) that nothing enters, in subset
-    order; one budget step per subset."""
-    for extra in subsets(outside):
+    order; one budget step per subset.  closed[i] says whether nothing
+    enters the i-th subset; the traces of one component share the list,
+    so each subset is tested once, by the first trace that reaches it."""
+    for i, extra in enumerate(subsets(outside)):
         budget.spend()
-        if entering_count(f, (extra,)) == 0:
+        if i == len(closed):
+            closed.append(entering_count(f, (extra,)) == 0)
+        if closed[i]:
             yield trace | extra
 
 
@@ -186,7 +190,8 @@ def _iter_component_families(
     for c in scc_condense(f):
         p = reach_to(f, c)
         outside = sorted(p - c)
-        cands = {trace: list(closed_extensions(f, outside, trace, budget))
+        closed: list[bool] = []
+        cands = {trace: list(closed_extensions(f, outside, trace, budget, closed))
                  for trace in subsets(sorted(c), include_empty=False)}
         for traces in subpartitions(sorted(c), budget=budget):
             if not traces:

@@ -24,7 +24,9 @@ from .structures import (
     Verdict,
     Witness,
     as_budget,
+    mask_items,
     memo,
+    subset_masks,
     subsets,
 )
 
@@ -35,11 +37,12 @@ class GPoly:
     def __init__(self, ground: Iterable, p: Callable[[frozenset], int],
                  b: Callable[[frozenset], int], label: str = ""):
         self.ground = tuple(ground)
+        self.ground_set = frozenset(self.ground)
         self.label = label
         self._p_fn, self._b_fn = p, b
 
     def _check(self, z: frozenset) -> frozenset:
-        if z - frozenset(self.ground):
+        if z - self.ground_set:
             raise ValueError("subset uses elements not in the ground")
         return z
 
@@ -91,7 +94,7 @@ def intersect_plank(q: GPoly, k: Plank, cap: int | Budget | None = None) -> GPol
     Returns None when empty.
     """
     budget = as_budget(cap)
-    s = frozenset(q.ground)
+    s = q.ground_set
     for z in subsets(q.ground, budget=budget):
         if q.p(z) > q.b(z):
             return None
@@ -115,7 +118,7 @@ def minkowski_sum(summands: Iterable[GPoly]) -> GPoly:
         raise ValueError("need at least one summand")
     if any(q is None for q in qs):
         raise ValueError("empty summand")
-    grounds = [frozenset(q.ground) for q in qs]
+    grounds = [q.ground_set for q in qs]
     if all(g == grounds[0] for g in grounds):
         ground = qs[0].ground
 
@@ -176,6 +179,7 @@ class TPolyhedron:
         self.bounds = bounds
         self.matroid = ExtendedHypergraphicMatroid(f, bounds.k)
         self.ground = self.matroid.ground
+        self.ground_set = self.matroid.ground_set
         self.heads = tuple(element_head(f, e) for e in self.ground)
         self.degree = tuple(
             sum(1 for h in self.heads if h == v) for v in range(f.n)
@@ -205,14 +209,14 @@ class TPolyhedron:
     def p(self, z: frozenset) -> int:
         """Lower bound after intersecting the summed pieces with the plank."""
         b = self.bounds
-        rest = frozenset(self.ground) - z
+        rest = self.ground_set - z
         return max(self.p_sum(z), b.k * self.f.n - b.lprime - self.b_sum(rest))
 
     @memo
     def b(self, z: frozenset) -> int:
         """Upper bound after intersecting the summed pieces with the plank."""
         b = self.bounds
-        rest = frozenset(self.ground) - z
+        rest = self.ground_set - z
         return min(self.b_sum(z), b.k * self.f.n - b.l - self.p_sum(rest))
 
     def rank(self, zs: Iterable) -> int:
@@ -271,19 +275,28 @@ def feasible(t: TPolyhedron, cap: int | Budget | None = None) -> Verdict:
 
 def ground_sweep(t: TPolyhedron, cap: int | Budget | None = None) -> Verdict:
     """For every element set z, both demand forms must stay within the
-    rank of the complement; the first violation is the witness."""
+    rank of the complement; the first violation is the witness.
+
+    z runs over the bit masks of the ground (bit i for t.ground[i]) in
+    subsets() order, one budget step each.  The rank of the complement is
+    read from a table of greedy bases filled on first use
+    (Matroid.greedy_basis): one independence query per new mask, where
+    rank() makes one per element."""
     budget = as_budget(cap)
-    full = frozenset(t.ground)
-    for z in subsets(t.ground, budget=budget):
-        rank_rest = t.rank(full - z)
-        g_side, f_side = _demands(t, z)
+    ground = t.ground
+    full = (1 << len(ground)) - 1
+    bases = {0: 0}
+    for z in subset_masks(len(ground), budget):
+        rank_rest = t.matroid.greedy_basis(bases, full ^ z).bit_count()
+        elems = mask_items(ground, z)
+        g_side, f_side = _demands(t, elems)
         if rank_rest < g_side:
             return Verdict(False, Witness(
-                "ground_subset", (tuple(e for e in t.ground if e in z), "g"),
+                "ground_subset", (tuple(e for e in ground if e in elems), "g"),
                 rank_rest, g_side, "root demand exceeds remaining rank"))
         if rank_rest < f_side:
             return Verdict(False, Witness(
-                "ground_subset", (tuple(e for e in t.ground if e in z), "f"),
+                "ground_subset", (tuple(e for e in ground if e in elems), "f"),
                 rank_rest, f_side, "member minimum exceeds remaining rank"))
     return HOLDS
 
@@ -294,7 +307,7 @@ def ground_subset_sides(t: TPolyhedron, payload: tuple) -> tuple[int, int]:
     elems, which = payload
     z = frozenset(elems)
     g_side, f_side = _demands(t, z)
-    return t.rank(frozenset(t.ground) - z), (g_side if which == "g" else f_side)
+    return t.rank(t.ground_set - z), (g_side if which == "g" else f_side)
 
 
 def t_contains(t: TPolyhedron, support: frozenset,
@@ -313,10 +326,28 @@ def t_contains(t: TPolyhedron, support: frozenset,
 
 
 def integer_points(t: TPolyhedron, cap: int | Budget | None = None):
-    """All 0/1 members of T as supports, smallest first."""
+    """All 0/1 members of T as supports, smallest first.
+
+    The t_contains test on bit masks of the ground (bit i for t.ground[i]):
+    supports and the subsets z checked against each run in subsets()
+    order, |support & z| is a bit count, and p(z) and b(z) come from a
+    table filled by the first support that reaches z.  Budget steps are
+    those of t_contains: one per support and one per z tried."""
     budget = as_budget(cap)
-    for support in subsets(t.ground, budget=budget):
-        if t_contains(t, support, budget):
+    ground = t.ground
+    pb: dict[int, tuple[int, int]] = {}
+    for s in subset_masks(len(ground), budget):
+        support = mask_items(ground, s)
+        if not t.matroid.independent(support):
+            continue
+        for z in subset_masks(len(ground), budget):
+            low_high = pb.get(z)
+            if low_high is None:
+                zs = mask_items(ground, z)
+                low_high = pb[z] = (t.p(zs), t.b(zs))
+            if not low_high[0] <= (s & z).bit_count() <= low_high[1]:
+                break
+        else:
             yield support
 
 
@@ -351,7 +382,7 @@ def violating_subpartition(t: TPolyhedron, elems: Iterable, which: str,
     "f" where it stays at most k - f(v))."""
     budget = as_budget(cap)
     z = frozenset(elems)
-    parts, _ = t.matroid.rank_partition_argmin(frozenset(t.ground) - z, budget)
+    parts, _ = t.matroid.rank_partition_argmin(t.ground_set - z, budget)
     b, cnt = t.bounds, t.head_counts(z)
     if which == "g":
         room = [b.k - b.g_k(v) for v in range(t.f.n)]

@@ -20,21 +20,25 @@ from .structures import (
     as_budget,
     dyperedge_enters,
     hyperedge_enters,
+    mask_items,
     memo,
     set_partitions,
-    subsets,
+    subset_masks,
 )
 
 
 class Matroid:
-    """Base rank oracle over a finite ground tuple."""
+    """Base rank oracle over a finite ground tuple of distinct elements."""
 
-    ground: tuple = ()
     kind = "abstract"
+
+    def __init__(self, ground: Iterable):
+        self.ground = tuple(ground)
+        self.ground_set = frozenset(self.ground)
 
     def _check(self, zs: Iterable) -> frozenset:
         z = frozenset(zs)
-        unknown = z - frozenset(self.ground)
+        unknown = z - self.ground_set
         if unknown:
             raise ValueError(f"elements not in the ground: {sorted(map(repr, unknown))}")
         return z
@@ -51,6 +55,25 @@ class Matroid:
                 picked.add(e)
         return len(picked)
 
+    def greedy_basis(self, table: dict[int, int], mask: int) -> int:
+        """The basis rank()'s greedy picks from the elements of mask, as a
+        mask (bit i for ground[i]): the basis of mask minus its last
+        element, plus that element when the two are independent together.
+        table maps masks to their bases and must hold {0: 0}; it gains mask
+        and each prefix of mask it lacks, one independence query each, the
+        query rank()'s greedy makes for that element."""
+        chain = []
+        while mask not in table:
+            chain.append(mask)
+            mask ^= 1 << (mask.bit_length() - 1)
+        basis = table[mask]
+        for prefix in reversed(chain):
+            top = 1 << (prefix.bit_length() - 1)
+            if self._indep(mask_items(self.ground, basis | top)):
+                basis |= top
+            table[prefix] = basis
+        return basis
+
     def _indep(self, z: frozenset) -> bool:
         raise NotImplementedError
 
@@ -60,9 +83,6 @@ class Matroid:
 
 class FreeMatroid(Matroid):
     kind = "free"
-
-    def __init__(self, ground: Iterable):
-        self.ground = tuple(ground)
 
     def rank(self, zs: Iterable) -> int:
         return len(self._check(zs))
@@ -77,7 +97,7 @@ class UniformMatroid(Matroid):
     def __init__(self, ground: Iterable, r: int):
         if r < 0:
             raise ValueError("uniform rank must be nonnegative")
-        self.ground = tuple(ground)
+        super().__init__(ground)
         self.r = r
 
     def rank(self, zs: Iterable) -> int:
@@ -93,7 +113,7 @@ class PartitionMatroid(Matroid):
     kind = "partition"
 
     def __init__(self, ground: Iterable, blocks: Sequence[Iterable], capacities: Sequence[int]):
-        self.ground = tuple(ground)
+        super().__init__(ground)
         self.blocks = tuple(frozenset(b) for b in blocks)
         self.capacities = tuple(int(c) for c in capacities)
         if len(self.blocks) != len(self.capacities):
@@ -105,7 +125,7 @@ class PartitionMatroid(Matroid):
             if b & union:
                 raise ValueError("blocks must be disjoint")
             union |= b
-        if union != set(self.ground):
+        if union != self.ground_set:
             raise ValueError("blocks must cover the ground exactly")
 
     def rank(self, zs: Iterable) -> int:
@@ -126,10 +146,10 @@ class ExplicitMatroid(Matroid):
     kind = "explicit"
 
     def __init__(self, ground: Iterable, independent_sets: Iterable[Iterable]):
-        self.ground = tuple(ground)
+        super().__init__(ground)
         self.family = frozenset(frozenset(s) for s in independent_sets)
         for s in self.family:
-            if s - frozenset(self.ground):
+            if s - self.ground_set:
                 raise ValueError("independent set uses elements not in the ground")
         problem = self._axiom_problem()
         if problem:
@@ -164,7 +184,7 @@ class HypergraphicMatroid(Matroid):
     kind = "hypergraphic"
 
     def __init__(self, ground: Iterable, vertex_sets: dict):
-        self.ground = tuple(ground)
+        super().__init__(ground)
         self.vertex_sets = {e: frozenset(vertex_sets[e]) for e in self.ground}
         if any(len(vs) < 2 for vs in self.vertex_sets.values()):
             raise ValueError("hyperedges must span at least 2 vertices")
@@ -190,9 +210,9 @@ class KSumMatroid(Matroid):
     def __init__(self, inner: Matroid, k: int):
         if k < 1:
             raise ValueError("k must be positive")
+        super().__init__(inner.ground)
         self.inner = inner
         self.k = k
-        self.ground = inner.ground
 
     @memo
     def _indep(self, z: frozenset) -> bool:
@@ -262,9 +282,9 @@ class ExtendedHypergraphicMatroid(Matroid):
     def __init__(self, f: MixedHypergraph, k: int):
         if k < 1:
             raise ValueError("k must be positive")
+        super().__init__(extended_ground(f))
         self.f = f
         self.k = k
-        self.ground = extended_ground(f)
         # underlying hypergraph: one element per dyperedge (tails plus head)
         # and one per hyperedge, shared by all of its copies
         uids = [(ARC, j) for j in range(len(f.dyperedges))]
@@ -319,33 +339,44 @@ class ExtendedHypergraphicMatroid(Matroid):
 
 def check_rank_axioms(m: Matroid, cap: int | Budget | None = None) -> Verdict:
     """Exhaustively test rank axioms: zero on empty, unit monotonicity and
-    submodularity.  Intended for small grounds; raises CapExceededError when
-    the pair enumeration would outgrow the budget."""
+    submodularity; the first two give 0 <= r(Z) <= |Z| on every subset.
+    Intended for small grounds; raises CapExceededError when the pair
+    enumeration would outgrow the budget.
+
+    Subsets are bit masks over the ground (bit i for ground[i]) visited in
+    subsets() order; witnesses carry them back as frozensets.  The
+    monotonicity pass asks the oracle for each subset once, at the first
+    (Z, e) pair that reaches it, and the submodularity pass reads those
+    ranks from the table.  Budget steps are as for a frozenset sweep: one
+    per subset in each pass, one per (Z, e) pair and one per (X, Y) pair."""
     budget = as_budget(cap)
-    ground = list(m.ground)
-    if m.rank(()) != 0:
-        return Verdict(False, Witness("subset", (frozenset(),), lhs=m.rank(()), rhs=0,
+    ground = m.ground
+    r = {0: m.rank(())}
+    if r[0] != 0:
+        return Verdict(False, Witness("subset", (frozenset(),), lhs=r[0], rhs=0,
                                       note="rank of the empty set"))
-    for z in subsets(ground, budget=budget):
-        rz = m.rank(z)
-        if not 0 <= rz <= len(z):
-            return Verdict(False, Witness("subset", (z,), lhs=rz, rhs=len(z),
-                                          note="rank outside 0..|Z|"))
-        for e in ground:
-            if e in z:
+    order = []
+    for z in subset_masks(len(ground), budget):
+        order.append(z)
+        rz = r[z]  # stored by the pair step of a smaller subset, and checked there
+        for i, e in enumerate(ground):
+            bit = 1 << i
+            if z & bit:
                 continue
             budget.spend()
-            re = m.rank(z | {e})
+            re = r.get(z | bit)
+            if re is None:
+                re = r[z | bit] = m.rank(mask_items(ground, z | bit))
             if not rz <= re <= rz + 1:
-                return Verdict(False, Witness("pair", (z, frozenset({e})), lhs=re, rhs=rz,
-                                              note="unit monotonicity"))
-    for x in subsets(ground, budget=budget):
-        rx = m.rank(x)
-        for y in subsets(ground):
+                return Verdict(False, Witness("pair", (mask_items(ground, z), frozenset({e})),
+                                              lhs=re, rhs=rz, note="unit monotonicity"))
+    for x in order:
+        budget.spend()
+        rx = r[x]
+        for y in order:
             budget.spend()
-            if rx + m.rank(y) < m.rank(x & y) + m.rank(x | y):
-                return Verdict(False, Witness("pair", (x, y),
-                                              lhs=rx + m.rank(y),
-                                              rhs=m.rank(x & y) + m.rank(x | y),
+            if rx + r[y] < r[x & y] + r[x | y]:
+                return Verdict(False, Witness("pair", (mask_items(ground, x), mask_items(ground, y)),
+                                              lhs=rx + r[y], rhs=r[x & y] + r[x | y],
                                               note="submodularity"))
     return Verdict(True)

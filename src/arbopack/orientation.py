@@ -181,10 +181,11 @@ def compute_h2(f: MixedHypergraph, h: SetFunctionOracle, c: frozenset[int],
     p = reach_to(f, c)
     outside = sorted(p - c)
     table: dict[frozenset[int], tuple[int, frozenset[int]]] = {}
+    closed: list[bool] = []
     for x in subsets(sorted(c), include_empty=False, budget=budget):
         best: int | None = None
         best_y: frozenset[int] = x
-        for y in closed_extensions(f, outside, x, budget):
+        for y in closed_extensions(f, outside, x, budget, closed):
             val = h(y) - in_degree(f, y)
             if best is None or val > best:
                 best, best_y = val, y

@@ -432,6 +432,22 @@ def subsets(
             yield frozenset(combo)
 
 
+def subset_masks(n: int, budget: Budget | None = None) -> Iterator[int]:
+    """The subsets of n items as bit masks (bit i for item i), in the order
+    of subsets(): by increasing size, then lexicographic."""
+    bits = [1 << i for i in range(n)]
+    for r in range(n + 1):
+        for combo in itertools.combinations(bits, r):
+            if budget is not None:
+                budget.spend()
+            yield sum(combo)
+
+
+def mask_items(items: Sequence, mask: int) -> frozenset:
+    """The items whose bits are set in mask (bit i for items[i])."""
+    return frozenset(x for i, x in enumerate(items) if mask >> i & 1)
+
+
 def set_partitions(
     items: Iterable, budget: Budget | None = None
 ) -> Iterator[tuple[frozenset, ...]]:

@@ -11,9 +11,7 @@ from arbopack import (
     FreeMatroid,
     Instance,
     MixedHypergraph,
-    PartitionMatroid,
     RootMultiset,
-    SetFunctionOracle,
     UniformMatroid,
     Witness,
     evaluate,

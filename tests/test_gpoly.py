@@ -1,18 +1,20 @@
 """Generalized polymatroid pairs, plank intersection, the packing polyhedron
 and its emptiness/membership routines."""
 import random
+import tracemalloc
 
 import pytest
 
 from arbopack import (
     Bounds,
+    Budget,
+    CapExceededError,
     ConditionId,
     GPoly,
     Instance,
     Plank,
-    PropertyViolationError,
-    TPolyhedron,
     UniformMatroid,
+    Verdict,
     Witness,
     build_t,
     check_axioms,
@@ -30,7 +32,7 @@ from arbopack import (
 )
 from arbopack.fuzz import _random_bounds, _random_mixed_hypergraph
 
-from conftest import mh
+from conftest import all_mixed_hypergraphs, mh
 
 
 def rank_pair(ground, r):
@@ -219,6 +221,81 @@ class TestTPolyhedron:
         sizes = [len(p) for p in pts]
         assert sizes == sorted(sizes)
         assert frozenset() in pts or sizes[0] > 0
+
+
+SPEC_EXAMPLE = (mh(3, [{0, 1}], [({0}, 1), ({1}, 2), ({2}, 0)]), main_bounds(3))
+EMPTY_EXAMPLE = (mh(3, [{1, 2}], [({2}, 1), ({1}, 2), ({1}, 0)]),
+                 Bounds(f=(1, 0, 0), g=(1, 0, 1), k=1, l=1, lprime=1))
+
+
+class TestSweeps:
+    """The mask sweeps against the frozenset reference oracles, their pinned
+    Budget steps, and tables that grow only as far as the budget pays."""
+
+    @pytest.mark.parametrize("example, verdict, steps", [
+        (SPEC_EXAMPLE, Verdict(True), 32),
+        (EMPTY_EXAMPLE, Verdict(False, Witness(
+            "ground_subset", ((("A", 2),), "f"), 1, 2,
+            "member minimum exceeds remaining rank")), 4),
+    ], ids=["feasible", "empty"])
+    def test_feasible_steps_pinned(self, example, verdict, steps):
+        budget = Budget(10_000)
+        assert feasible(build_t(*example), budget) == verdict
+        assert 10_000 - budget.remaining == steps
+
+    @pytest.mark.parametrize("example, point, steps", [
+        (SPEC_EXAMPLE, (("A", 0), ("A", 1)), 204),
+        (EMPTY_EXAMPLE, None, 109),
+    ], ids=["feasible", "empty"])
+    def test_find_integer_point_steps_pinned(self, example, point, steps):
+        budget = Budget(10_000)
+        found = find_integer_point(build_t(*example), budget)
+        if point is None:
+            assert found == feasible(build_t(*example))
+        else:
+            assert found == point
+        assert 10_000 - budget.remaining == steps
+
+    @staticmethod
+    def grid():
+        for f in all_mixed_hypergraphs(3, 2):
+            for b in (main_bounds(f.n), main_bounds(f.n, k=2, l=1, lprime=3, g=2),
+                      Bounds(f=(1,) + (0,) * (f.n - 1), g=(1,) * f.n, k=1, l=1, lprime=2)):
+                yield build_t(f, b)
+
+    def test_integer_points_match_membership_on_grid(self):
+        points = 0
+        for t in self.grid():
+            expected = [z for z in subsets(t.ground) if t_contains(t, z)]
+            assert list(integer_points(t)) == expected
+            points += len(expected)
+        assert points > 50
+
+    def test_greedy_bases_match_rank_on_grid(self):
+        for t in self.grid():
+            bases = {0: 0}
+            for mask in range(1 << len(t.ground)):
+                z = frozenset(e for i, e in enumerate(t.ground) if mask >> i & 1)
+                basis = t.matroid.greedy_basis(bases, mask)
+                assert basis & ~mask == 0
+                assert basis.bit_count() == t.rank(z)
+
+    @pytest.mark.parametrize("search", [feasible, find_integer_point])
+    def test_small_cap_bounds_table_memory(self, search):
+        # 4 edges (8 oriented copies) and 12 arcs: 2^20 subsets, and a list
+        # with one slot per subset would take 8 MB
+        arcs = [({u}, v) for u in range(4) for v in range(4) if u != v]
+        f = mh(4, [{0, 1}, {1, 2}, {2, 3}, {0, 3}], arcs)
+        t = build_t(f, main_bounds(4, lprime=4))
+        assert len(t.ground) == 20
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapExceededError):
+                search(t, 1000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
 
 class TestWitnessTranslation:

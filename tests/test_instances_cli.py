@@ -9,10 +9,8 @@ from arbopack import (
     SCHEMA_VERSION,
     SchemaError,
     instance_to_doc,
-    matroid_to_doc,
     packing_to_doc,
     parse_instance,
-    parse_matroid,
     parse_packing,
     parse_set_function,
     set_function_to_doc,

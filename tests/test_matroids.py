@@ -16,6 +16,8 @@ from arbopack import (
     KSumMatroid,
     PartitionMatroid,
     UniformMatroid,
+    Verdict,
+    Witness,
     check_rank_axioms,
     extended_ground,
     subsets,
@@ -193,7 +195,53 @@ class TestExtended:
         assert check_rank_axioms(ExtendedHypergraphicMatroid(f, 2)).holds
 
 
+class RankOracle(FreeMatroid):
+    """A free matroid's ground with any rank function, valid or not."""
+
+    def __init__(self, ground, fn):
+        super().__init__(ground)
+        self.fn = fn
+
+    def rank(self, z):
+        return self.fn(frozenset(z))
+
+
+S = frozenset
+
+
 class TestRankAxiomChecker:
+    def test_steps_pinned(self):
+        # 2^5 subsets and 5 * 2^4 (Z, e) pairs, then 2^5 subsets and 4^5 pairs
+        budget = Budget(10_000)
+        assert check_rank_axioms(UniformMatroid(range(5), 2), budget).holds
+        assert 10_000 - budget.remaining == 32 + 80 + 32 + 1024
+
+    @pytest.mark.parametrize("fn, witness, steps", [
+        (lambda z: len(z) + 1,
+         Witness("subset", (S(),), 1, 0, "rank of the empty set"), 0),
+        # r({b, c}) = 3 is out of range; the step from {b} reports it
+        (lambda z: 3 if z == S("bc") else len(z),
+         Witness("pair", (S("b"), S("c")), 3, 1, "unit monotonicity"), 10),
+        (lambda z: 0 if z == S("ac") else len(z),
+         Witness("pair", (S("a"), S("c")), 0, 1, "unit monotonicity"), 7),
+        (lambda z: min(len(z), 1) + (z == S("abc")),
+         Witness("pair", (S("ab"), S("ac")), 2, 3, "submodularity"), 63),
+    ], ids=["empty", "out_of_range", "monotonicity", "submodularity"])
+    def test_first_witness_pinned(self, fn, witness, steps):
+        budget = Budget(10_000)
+        assert check_rank_axioms(RankOracle("abc", fn), budget) == Verdict(False, witness)
+        assert 10_000 - budget.remaining == steps
+
+    def test_oracle_asked_once_per_subset(self):
+        asked = []
+        m = RankOracle("abcd", lambda z: asked.append(z) or min(len(z), 2))
+        assert check_rank_axioms(m).holds
+        assert sorted(asked, key=sorted) == sorted(subsets("abcd"), key=sorted)
+
+    def test_small_cap_raises(self):
+        with pytest.raises(CapExceededError):
+            check_rank_axioms(UniformMatroid(range(5), 2), 1167)
+
     def test_catches_non_submodular_oracle(self):
         class Broken(FreeMatroid):
             def rank(self, z):

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from arbopack import (
-    Bounds,
+    Budget,
     ConditionId,
     FreeMatroid,
     Instance,
@@ -17,6 +17,7 @@ from arbopack import (
     check_intersecting_supermodular,
     check_mixed_cover,
     compute_h2,
+    entering_count,
     evaluate,
     frank_orient,
     mixed_orient,
@@ -27,6 +28,7 @@ from arbopack import (
     Orientation,
     Verdict,
 )
+from arbopack import conditions
 from arbopack.fuzz import _random_matroid, _random_roots
 
 from conftest import mh
@@ -137,6 +139,26 @@ class TestComputeH2:
         w = compute_h2(f, h, frozenset({1}))
         val, y = w.table[frozenset({1})]
         assert y == frozenset({1}) and val == 1 - 1
+
+    def test_each_outside_subset_tested_once(self, monkeypatch):
+        # 3-cycle {0, 1, 2} fed by the path 3 -> 4 -> 5 -> 0: 7 traces, and
+        # 2^3 subsets of the closure outside the component
+        f = mh(6, [], [({0}, 1), ({1}, 2), ({2}, 0), ({3}, 4), ({4}, 5), ({5}, 0)])
+        asked = []
+
+        def counting(graph, parts):
+            parts = tuple(parts)
+            asked.append(parts)
+            return entering_count(graph, parts)
+
+        monkeypatch.setattr(conditions, "entering_count", counting)
+        budget = Budget(1_000)
+        w = compute_h2(f, table_h(6, {}), frozenset({0, 1, 2}), budget)
+        assert len(asked) == 8
+        assert set(asked) == {(x,) for x in subsets([3, 4, 5])}
+        assert 1_000 - budget.remaining == 7 + 7 * 8
+        assert w.table[frozenset({0, 1, 2})] == (0, frozenset(range(6)))
+        assert w.table[frozenset({0})] == (-1, frozenset({0, 3, 4, 5}))
 
     def test_lifted_table_intersecting_supermodular(self):
         rng = random.Random(22)

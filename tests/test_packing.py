@@ -14,7 +14,6 @@ from arbopack import (
     Packing,
     PackingSpec,
     Pick,
-    PropertyViolationError,
     RootMultiset,
     UniformMatroid,
     Verdict,
@@ -23,7 +22,6 @@ from arbopack import (
     find_packing,
     main_pack,
     mrb_mixed_pack,
-    reach_to,
     verify,
 )
 from arbopack.fuzz import _random_arcs, _random_bounds, _random_mixed_hypergraph, _random_roots, _random_matroid

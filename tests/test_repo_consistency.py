@@ -1,4 +1,6 @@
-"""The README's name lists and the benchmark's trace hooks follow the library."""
+"""The README's name lists and the benchmark's trace hooks follow the
+library, and no module imports a name it does not use."""
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -48,3 +50,21 @@ def test_traced_names_resolve():
         assert inspect.isgeneratorfunction(fn), (modname, attr)
     assert callable(vars(TPolyhedron).get("rank"))
     assert callable(vars(SetFunctionOracle).get("__call__"))
+
+
+def _unused_imports(path: Path) -> list[str]:
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [(a.asname or a.name.partition(".")[0], node.lineno) for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [(a.asname or a.name, node.lineno) for a in node.names]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{path.name}:{line} {name}" for name, line in imported if name not in used]
+
+
+def test_every_import_is_used():
+    paths = [p for p in sorted((ROOT / "src" / "arbopack").glob("*.py")) if p.name != "__init__.py"]
+    paths += sorted((ROOT / "tests").glob("*.py"))
+    assert [bad for p in paths for bad in _unused_imports(p)] == []

@@ -12,7 +12,6 @@ from arbopack import (
     check_intersecting_supermodular,
     check_submodular,
     check_supermodular,
-    subsets,
 )
 
 

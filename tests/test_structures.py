@@ -2,7 +2,6 @@
 the canonical enumeration orders everything downstream relies on, and the
 oracle memo."""
 import gc
-import itertools
 import weakref
 
 import pytest
