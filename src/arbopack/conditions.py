@@ -12,30 +12,30 @@ from __future__ import annotations
 import functools
 import itertools
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
 from .gpoly import (
     MEMBER_WINDOW,
     ROOT_WINDOW,
+    T_BOUNDS,
+    T_POSITIVE,
     build_t,
     ground_subset_sides,
     ground_sweep,
     member_window,
     root_window,
 )
-from .matroids import Matroid
-from .setfuncs import SetFunctionOracle
 from .structures import (
     HOLDS,
     Bounds,
     Budget,
+    Instance,
     MixedHypergraph,
-    RootMultiset,
     Verdict,
     Witness,
     as_budget,
+    check_inputs,
     entering_count,
     in_degree,
     reach_to,
@@ -64,60 +64,6 @@ class ConditionId(Enum):
     HSZ = "hsz"
     MAIN = "main"
     LEMMA1B = "lemma1b"
-
-
-@dataclass(frozen=True)
-class Instance:
-    """Everything a condition may quantify over.  Conditions validate that
-    the fields they need are present and of the right shape."""
-
-    graph: MixedHypergraph
-    roots: RootMultiset | None = None
-    matroid: Matroid | None = None
-    bounds: Bounds | None = None
-    h: SetFunctionOracle | None = None
-
-
-_KIND_TESTS = {
-    "digraph": (MixedHypergraph.is_digraph, "a digraph (single-tail dyperedges only)"),
-    "mixed_graph": (MixedHypergraph.is_mixed_graph, "a mixed graph (size-2 hyperedges, single-tail dyperedges)"),
-    "dypergraph": (MixedHypergraph.is_dypergraph, "a dypergraph (no hyperedges)"),
-    "graph": (lambda f: not f.dyperedges, "an undirected graph or hypergraph"),
-    "mixed_hypergraph": (lambda f: True, ""),
-}
-
-
-def check_inputs(inst: Instance, what: str, graph: str = "mixed_hypergraph",
-                 needs: tuple[str, ...] = (), bounds: tuple[str, ...] = (),
-                 requires: tuple = ()) -> None:
-    """Raise ValueError unless inst has everything what reads: a graph of
-    the kind graph (a key of _KIND_TESTS), the Instance fields in needs
-    (roots, matroid and h are checked here, bounds through its fields),
-    the Bounds fields in bounds, and every (test, description) in requires."""
-    test, desc = _KIND_TESTS[graph]
-    if not test(inst.graph):
-        raise ValueError(f"{what} needs {desc}")
-    if "roots" in needs:
-        if inst.roots is None:
-            raise ValueError(f"{what} needs a root multiset")
-        if len(inst.roots.counts) != inst.graph.n:
-            raise ValueError("root multiset does not match the vertex count")
-    if "matroid" in needs:
-        if inst.matroid is None:
-            raise ValueError(f"{what} needs a matroid on the root multiset")
-        if frozenset(inst.matroid.ground) != frozenset(inst.roots.copies()):
-            raise ValueError("matroid ground must be exactly the root copies")
-    if "h" in needs and inst.h is None:
-        raise ValueError(f"{what} needs a set function h")
-    for name in bounds:
-        val = None if inst.bounds is None else getattr(inst.bounds, name)
-        if val is None:
-            raise ValueError(f"{what} needs bounds.{name}")
-        if name in ("f", "g") and len(val) != inst.graph.n:
-            raise ValueError(f"bounds.{name} does not match the vertex count")
-    for holds, description in requires:
-        if not holds(inst):
-            raise ValueError(f"{what} needs {description}")
 
 
 def _need(inst: Instance, cond: ConditionId) -> Condition:
@@ -259,7 +205,7 @@ class Condition(NamedTuple):
     """What a condition reads and the checks that must all hold, run in
     order: vertex and global pre-checks first, the main sweep last."""
 
-    graph: str  # a key of _KIND_TESTS
+    graph: str  # a graph kind of check_inputs
     needs: tuple[str, ...]  # Instance fields among roots, matroid and h
     checks: tuple[Check, ...]
     bounds: tuple[str, ...] = ()  # Bounds fields that must be set
@@ -364,9 +310,6 @@ _LIMITED_PRECHECKS = (
     Check(_GLOBAL, lambda inst: functools.partial(member_window, inst.bounds, inst.graph.n),
           MEMBER_WINDOW),
 )
-_LIMITED_BOUNDS = ("f", "g", "k", "l", "lprime")
-_POSITIVE = (lambda inst: min(inst.bounds.k, inst.bounds.l, inst.bounds.lprime) >= 1,
-             "positive k, l and lprime")
 
 
 def _limited(cap):
@@ -397,7 +340,7 @@ CONDITIONS: dict[ConditionId, Condition] = {
         Check(_COMPONENT_FAMILIES, _new_orient, "elements entering vs demanded in-degree"),)),
     ConditionId.FRANK_CAI: Condition("digraph", (), _FG_BOUNDED, bounds=("f", "g", "k")),
     ConditionId.BERCZI_FRANK: Condition("digraph", (), _LIMITED_PRECHECKS + (
-        _limited(_g_sum),), bounds=_LIMITED_BOUNDS),
+        _limited(_g_sum),), bounds=T_BOUNDS),
     ConditionId.FKK: Condition("dypergraph", ("roots",), (
         Check(_NON_ROOT_SUBSETS, _fkk, "dyperedges entering vs required connectivity"),),
         requires=((lambda inst: len(inst.roots.support()) == 1, "all roots on a single vertex"),)),
@@ -409,10 +352,10 @@ CONDITIONS: dict[ConditionId, Condition] = {
     ConditionId.GY_FG: Condition("mixed_graph", (), _FG_BOUNDED, bounds=("f", "g", "k")),
     ConditionId.HSZ: Condition("mixed_hypergraph", (), _FG_BOUNDED, bounds=("f", "g", "k")),
     ConditionId.MAIN: Condition("mixed_hypergraph", (), _LIMITED_PRECHECKS + (
-        _limited(Bounds.g_k_sum),), bounds=_LIMITED_BOUNDS, requires=(_POSITIVE,)),
+        _limited(Bounds.g_k_sum),), bounds=T_BOUNDS, requires=(T_POSITIVE,)),
     ConditionId.LEMMA1B: Condition("mixed_hypergraph", (), _LIMITED_PRECHECKS + (
         Check(_T_GROUND, _lemma1b, ""),),
-        bounds=_LIMITED_BOUNDS, requires=(_POSITIVE,)),
+        bounds=T_BOUNDS, requires=(T_POSITIVE,)),
 }
 
 

@@ -10,7 +10,8 @@ packing, which is what the feasibility and integer point routines exploit.
 """
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable
+import functools
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 
 from .matroids import ExtendedHypergraphicMatroid, element_head
@@ -19,11 +20,13 @@ from .structures import (
     HOLDS,
     Bounds,
     Budget,
+    Instance,
     MixedHypergraph,
     PropertyViolationError,
     Verdict,
     Witness,
     as_budget,
+    check_inputs,
     mask_items,
     memo,
     subset_masks,
@@ -63,23 +66,25 @@ class Plank:
     beta: int
 
 
-def check_axioms(q: GPoly, cap: int | Budget | None = None) -> Verdict:
+def check_axioms(q: GPoly | TPolyhedron, cap: int | Budget | None = None) -> Verdict:
     """Exhaustive check that (p, b) is a strong pair: zero on the empty set,
-    p supermodular, b submodular, and b(X)-p(Y) >= b(X-Y)-p(Y-X)."""
+    p supermodular, b submodular, and b(X)-p(Y) >= b(X-Y)-p(Y-X), with p
+    and b read through tables kept for this check."""
     budget = as_budget(cap)
-    if q.p(()) != 0:
-        return Verdict(False, Witness("subset", (frozenset(),), q.p(()), 0,
+    p, b = functools.cache(q.p), functools.cache(q.b)
+    if p(frozenset()) != 0:
+        return Verdict(False, Witness("subset", (frozenset(),), p(frozenset()), 0,
                                       "lower function nonzero on the empty set"))
-    if q.b(()) != 0:
-        return Verdict(False, Witness("subset", (frozenset(),), q.b(()), 0,
+    if b(frozenset()) != 0:
+        return Verdict(False, Witness("subset", (frozenset(),), b(frozenset()), 0,
                                       "upper function nonzero on the empty set"))
-    bad = check_supermodular(q.p, q.ground, budget)
+    bad = check_supermodular(p, q.ground, budget)
     if bad:
         return Verdict(False, Witness("pair", bad, note="lower function not supermodular"))
-    bad = check_submodular(q.b, q.ground, budget)
+    bad = check_submodular(b, q.ground, budget)
     if bad:
         return Verdict(False, Witness("pair", bad, note="upper function not submodular"))
-    bad = check_cross_inequality(q.p, q.b, q.ground, budget)
+    bad = check_cross_inequality(p, b, q.ground, budget)
     if bad:
         return Verdict(False, Witness("pair", bad, note="cross-inequality fails"))
     return HOLDS
@@ -158,92 +163,12 @@ def gpoly_contains(q: GPoly, x: dict, cap: int | Budget | None = None) -> bool:
 # ---------------------------------------------------------------------------
 # the polyhedron T
 
-class TPolyhedron:
-    """Packing polyhedron of a mixed hypergraph with bounds (f, g, k, l, l').
-
-    Ground: the dyperedges plus every oriented copy of every hyperedge.
-    Coordinates count how many heads a packing sends into each vertex, so
-    the per-vertex pieces bound in-degrees, the plank bounds the total
-    member count and the matroid factor keeps the support independent.
-    """
-
-    def __init__(self, f: MixedHypergraph, bounds: Bounds):
-        for name in ("f", "g", "k", "l", "lprime"):
-            if getattr(bounds, name, None) is None:
-                raise ValueError(f"bounds.{name} is required")
-        if len(bounds.f) != f.n or len(bounds.g) != f.n:
-            raise ValueError("bounds do not match the vertex count")
-        if min(bounds.k, bounds.l, bounds.lprime) < 1:
-            raise ValueError("k, l and lprime must be positive")
-        self.f = f
-        self.bounds = bounds
-        self.matroid = ExtendedHypergraphicMatroid(f, bounds.k)
-        self.ground = self.matroid.ground
-        self.ground_set = self.matroid.ground_set
-        self.heads = tuple(element_head(f, e) for e in self.ground)
-        self.degree = tuple(
-            sum(1 for h in self.heads if h == v) for v in range(f.n)
-        )
-
-    def head_counts(self, z: frozenset) -> tuple[int, ...]:
-        """In-degree of every vertex in the element set z."""
-        counts = [0] * self.f.n
-        for e in z:
-            counts[element_head(self.f, e)] += 1
-        return tuple(counts)
-
-    def p_sum(self, z: frozenset) -> int:
-        """Sum of the per-vertex lower pieces at z."""
-        b, cnt = self.bounds, self.head_counts(z)
-        return sum(
-            max(0, b.k - b.g_k(v) - (self.degree[v] - cnt[v]))
-            for v in range(self.f.n)
-        )
-
-    def b_sum(self, z: frozenset) -> int:
-        """Sum of the per-vertex upper pieces at z."""
-        b, cnt = self.bounds, self.head_counts(z)
-        return sum(min(cnt[v], b.k - b.f[v]) for v in range(self.f.n))
-
-    @memo
-    def p(self, z: frozenset) -> int:
-        """Lower bound after intersecting the summed pieces with the plank."""
-        b = self.bounds
-        rest = self.ground_set - z
-        return max(self.p_sum(z), b.k * self.f.n - b.lprime - self.b_sum(rest))
-
-    @memo
-    def b(self, z: frozenset) -> int:
-        """Upper bound after intersecting the summed pieces with the plank."""
-        b = self.bounds
-        rest = self.ground_set - z
-        return min(self.b_sum(z), b.k * self.f.n - b.l - self.p_sum(rest))
-
-    def rank(self, zs: Iterable) -> int:
-        """Rank in the extended matroid; uncached, since the emptiness
-        sweep asks for each complement once."""
-        return self.matroid.rank(zs)
-
-
-def build_t(f: MixedHypergraph, bounds: Bounds) -> TPolyhedron:
-    return TPolyhedron(f, bounds)
-
-
-def _demands(t: TPolyhedron, z: frozenset) -> tuple[int, int]:
-    """Left sides of the two emptiness inequalities at an element set z:
-    forced root demand and forced member minimum, both compared against the
-    rank of the complement."""
-    b, cnt = t.bounds, t.head_counts(z)
-    g_side = sum(max(0, b.k - b.g_k(v) - cnt[v]) for v in range(t.f.n))
-    f_side = b.k * t.f.n - b.lprime - sum(
-        min(cnt[v], b.k - b.f[v]) for v in range(t.f.n)
-    )
-    return g_side, f_side
-
-
-# The two bound pre-checks of the emptiness test, each as (lhs, rhs) with
-# lhs >= rhs required, and their notes; the main and lemma1b records in
-# conditions.CONDITIONS read the same functions.
+# The Bounds fields T reads and the positivity it needs, for check_inputs,
+# then the two bound pre-checks of the emptiness test, each as (lhs, rhs)
+# with lhs >= rhs required; the main and lemma1b records read them all.
+T_BOUNDS = ("f", "g", "k", "l", "lprime")
+T_POSITIVE = (lambda inst: min(inst.bounds.k, inst.bounds.l, inst.bounds.lprime) >= 1,
+              "positive k, l and lprime")
 ROOT_WINDOW = "capped upper root bound below lower"
 MEMBER_WINDOW = "member minimum unreachable"
 
@@ -256,6 +181,89 @@ def root_window(b: Bounds, v: int) -> tuple[int, int]:
 def member_window(b: Bounds, n: int) -> tuple[int, int]:
     """The most members the capped upper bounds and lprime allow, against l."""
     return min(b.g_k_sum(range(n)), b.lprime), b.l
+
+
+# The sides of the emptiness inequality with their notes, in the order
+# TPolyhedron.demands returns them: forced root demand, member demand.
+SIDES = {"g": "root demand exceeds remaining rank",
+         "f": "member minimum exceeds remaining rank"}
+
+
+class TPolyhedron:
+    """Packing polyhedron of a mixed hypergraph with bounds (f, g, k, l, l').
+
+    Ground: the dyperedges plus every oriented copy of every hyperedge.
+    Coordinates count how many heads a packing sends into each vertex, so
+    the per-vertex pieces bound in-degrees, the plank bounds the total
+    member count and the matroid factor keeps the support independent.
+
+    Element sets are bit masks (bit i for ground[i]).  head_masks[v] holds
+    the elements with head v and degree[v] counts them; room["g"][v] is
+    k - g_k(v) and room["f"][v] is k - f(v).
+    """
+
+    def __init__(self, f: MixedHypergraph, bounds: Bounds):
+        check_inputs(Instance(f, bounds=bounds), "the packing polyhedron",
+                     bounds=T_BOUNDS, requires=(T_POSITIVE,))
+        self.f = f
+        self.bounds = bounds
+        self.matroid = ExtendedHypergraphicMatroid(f, bounds.k)
+        self.ground = self.matroid.ground
+        self.ground_set = self.matroid.ground_set
+        self.bit = {e: 1 << i for i, e in enumerate(self.ground)}
+        self.head_masks = tuple(sum(bit for e, bit in self.bit.items() if element_head(f, e) == v)
+                                for v in range(f.n))
+        self.degree = tuple(m.bit_count() for m in self.head_masks)
+        self.room = {"g": tuple(bounds.k - bounds.g_k(v) for v in range(f.n)),
+                     "f": tuple(bounds.k - bounds.f[v] for v in range(f.n))}
+
+    def mask(self, zs: Iterable) -> int:
+        """The bit mask of an element set of the ground."""
+        z = frozenset(zs)
+        if not z <= self.ground_set:
+            raise ValueError("element set leaves the ground of T")
+        return sum(self.bit[e] for e in z)
+
+    def head_counts(self, z: int) -> tuple[int, ...]:
+        """In-degree of every vertex in the element set with mask z."""
+        return tuple((z & m).bit_count() for m in self.head_masks)
+
+    def demands(self, cnt: Sequence[int]) -> tuple[int, int]:
+        """The two demands of an element set with head counts cnt, each the
+        left side of an emptiness inequality against the rank of the
+        complement: the forced root demand, sum of max(0, k - g_k(v) - cnt[v]),
+        and the member demand, kn - l' - sum of min(cnt[v], k - f(v))."""
+        root = sum(max(0, r - c) for r, c in zip(self.room["g"], cnt))
+        rest = sum(min(c, r) for r, c in zip(self.room["f"], cnt))
+        return root, self.bounds.k * self.f.n - self.bounds.lprime - rest
+
+    def pair(self, z: int) -> tuple[int, int]:
+        """p and b at the element set with mask z: the summed per-vertex
+        pieces cut by the member plank.  p is the larger demand of the
+        complement; b is the member room kn - l' - member demand of z,
+        capped at kn - l - root demand of z."""
+        cnt = self.head_counts(z)
+        root, member = self.demands(cnt)
+        b, top = self.bounds, self.bounds.k * self.f.n
+        return (max(self.demands([d - c for d, c in zip(self.degree, cnt)])),
+                min(top - b.lprime - member, top - b.l - root))
+
+    def p(self, zs: Iterable) -> int:
+        """Lower bound of T at an element set of the ground."""
+        return self.pair(self.mask(zs))[0]
+
+    def b(self, zs: Iterable) -> int:
+        """Upper bound of T at an element set of the ground."""
+        return self.pair(self.mask(zs))[1]
+
+    def rank(self, zs: Iterable) -> int:
+        """Rank in the extended matroid, uncached; witness checks read it,
+        the sweeps read greedy bases by mask."""
+        return self.matroid.rank(zs)
+
+
+def build_t(f: MixedHypergraph, bounds: Bounds) -> TPolyhedron:
+    return TPolyhedron(f, bounds)
 
 
 def feasible(t: TPolyhedron, cap: int | Budget | None = None) -> Verdict:
@@ -288,16 +296,11 @@ def ground_sweep(t: TPolyhedron, cap: int | Budget | None = None) -> Verdict:
     bases = {0: 0}
     for z in subset_masks(len(ground), budget):
         rank_rest = t.matroid.greedy_basis(bases, full ^ z).bit_count()
-        elems = mask_items(ground, z)
-        g_side, f_side = _demands(t, elems)
-        if rank_rest < g_side:
-            return Verdict(False, Witness(
-                "ground_subset", (tuple(e for e in ground if e in elems), "g"),
-                rank_rest, g_side, "root demand exceeds remaining rank"))
-        if rank_rest < f_side:
-            return Verdict(False, Witness(
-                "ground_subset", (tuple(e for e in ground if e in elems), "f"),
-                rank_rest, f_side, "member minimum exceeds remaining rank"))
+        for (which, note), demand in zip(SIDES.items(), t.demands(t.head_counts(z))):
+            if rank_rest < demand:
+                return Verdict(False, Witness(
+                    "ground_subset", (tuple(e for e in ground if t.bit[e] & z), which),
+                    rank_rest, demand, note))
     return HOLDS
 
 
@@ -305,9 +308,10 @@ def ground_subset_sides(t: TPolyhedron, payload: tuple) -> tuple[int, int]:
     """Both sides of one recorded emptiness inequality: the rank of the
     complement and the chosen demand."""
     elems, which = payload
-    z = frozenset(elems)
-    g_side, f_side = _demands(t, z)
-    return t.rank(t.ground_set - z), (g_side if which == "g" else f_side)
+    if which not in SIDES:
+        raise ValueError("which must be 'g' or 'f'")
+    demands = dict(zip(SIDES, t.demands(t.head_counts(t.mask(elems)))))
+    return t.rank(t.ground_set - frozenset(elems)), demands[which]
 
 
 def t_contains(t: TPolyhedron, support: frozenset,
@@ -343,8 +347,7 @@ def integer_points(t: TPolyhedron, cap: int | Budget | None = None):
         for z in subset_masks(len(ground), budget):
             low_high = pb.get(z)
             if low_high is None:
-                zs = mask_items(ground, z)
-                low_high = pb[z] = (t.p(zs), t.b(zs))
+                low_high = pb[z] = t.pair(z)
             if not low_high[0] <= (s & z).bit_count() <= low_high[1]:
                 break
         else:
@@ -380,14 +383,9 @@ def violating_subpartition(t: TPolyhedron, elems: Iterable, which: str,
     vertices all have enough in-degree room in z for the chosen bound
     ("g" keeps classes where z's in-degree stays at most k - g_k(v),
     "f" where it stays at most k - f(v))."""
-    budget = as_budget(cap)
-    z = frozenset(elems)
-    parts, _ = t.matroid.rank_partition_argmin(t.ground_set - z, budget)
-    b, cnt = t.bounds, t.head_counts(z)
-    if which == "g":
-        room = [b.k - b.g_k(v) for v in range(t.f.n)]
-    elif which == "f":
-        room = [b.k - b.f[v] for v in range(t.f.n)]
-    else:
+    if which not in SIDES:
         raise ValueError("which must be 'g' or 'f'")
+    cnt, room = t.head_counts(t.mask(elems)), t.room[which]
+    parts, _ = t.matroid.rank_partition_argmin(
+        t.ground_set - frozenset(elems), as_budget(cap))
     return tuple(x for x in parts if all(cnt[v] <= room[v] for v in x))

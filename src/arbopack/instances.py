@@ -8,7 +8,6 @@ formatting, and parsing a serialized object reproduces the object.
 """
 from __future__ import annotations
 
-from .conditions import Instance
 from .matroids import (
     ExplicitMatroid,
     ExtendedHypergraphicMatroid,
@@ -21,7 +20,7 @@ from .matroids import (
 )
 from .packing import Member, Packing, Pick
 from .setfuncs import SetFunctionOracle
-from .structures import Bounds, MixedHypergraph, RootMultiset
+from .structures import Bounds, Instance, MixedHypergraph, RootMultiset
 
 SCHEMA_VERSION = 1
 

@@ -15,7 +15,7 @@ import itertools
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
-from .conditions import ConditionId, Instance, check_inputs, evaluate
+from .conditions import ConditionId, evaluate
 from .gpoly import build_t, find_integer_point
 from .matroids import Matroid, check_rank_axioms
 from .orientation import mixed_orient, orientation_space
@@ -24,12 +24,15 @@ from .structures import (
     HOLDS,
     Bounds,
     Budget,
+    Instance,
     MixedHypergraph,
     PropertyViolationError,
     RootMultiset,
     Verdict,
     Witness,
     as_budget,
+    check_inputs,
+    orient,
     orient_all,
     reach_from,
     reach_to,
@@ -546,22 +549,14 @@ def main_pack(f: MixedHypergraph, bounds: Bounds,
                 "empty polyhedron but the subpartition condition holds")
         return verdict
 
-    z = frozenset(point)
-    cnt = t.head_counts(z)
-    root_counts = [bounds.k - cnt[v] for v in range(f.n)]
+    root_counts = [bounds.k - c for c in t.head_counts(t.mask(point))]
     if any(c < 0 for c in root_counts):
         raise PropertyViolationError("integer point exceeds the in-degree budget")
-    zelems = [e for e in t.ground if e in z]
-    dyps = []
-    for e in zelems:
-        if e[0] == "A":
-            dyps.append(f.dyperedges[e[1]])
-        else:
-            dyps.append((f.hyperedges[e[1]] - {e[2]}, e[2]))
-    dz = MixedHypergraph(f.n, (), tuple(dyps))
+    dz = MixedHypergraph(f.n, (), tuple(
+        f.dyperedges[e[1]] if e[0] == "A" else orient(f.hyperedges[e[1]], e[2]) for e in point))
     inner = corollary1_pack(dz, RootMultiset(tuple(root_counts)), bounds.k, budget)
     if isinstance(inner, Verdict):
         raise PropertyViolationError("decoded dyperedge set misses the root condition")
 
-    return _certified(f, _lift(inner, [e[:2] for e in zelems]),
+    return _certified(f, _lift(inner, [e[:2] for e in point]),
                       PackingSpec("bounded_regular_limited", bounds=bounds), budget)

@@ -8,8 +8,8 @@ between any two of its vertices, a dyperedge only from a tail to its head.
 
 Everything here is immutable and pure; derived data (reachability, strongly
 connected components) is memoized on the instance.  The ``memo`` decorator
-gives the set-function, polyhedron and matroid oracles their per-instance
-caches.
+gives the set-function, g-polymatroid and matroid oracles their per-instance
+caches.  ``check_inputs`` validates what an ``Instance`` gives a reader.
 """
 from __future__ import annotations
 
@@ -17,6 +17,11 @@ import functools
 import itertools
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from .matroids import Matroid
+    from .setfuncs import SetFunctionOracle
 
 DEFAULT_CAP = 10_000_000
 
@@ -95,7 +100,7 @@ class Witness:
       "component_family"  payload = (component, family tuple)
       "vertex"            payload = (v,)
       "global"            payload = () or scalars, see note
-      "ground_subset"     payload = (tuple of ground elements,)
+      "ground_subset"     payload = (tuple of ground elements, side "g" or "f")
       "pair"              payload = (X, Y)
     lhs/rhs record the two sides of the violated inequality (lhs < rhs).
     """
@@ -412,6 +417,60 @@ class Bounds:
 
     def f_sum(self, x: Iterable[int]) -> int:
         return sum(self.f[v] for v in x)
+
+
+@dataclass(frozen=True)
+class Instance:
+    """Everything a condition may quantify over.  Conditions validate that
+    the fields they need are present and of the right shape."""
+
+    graph: MixedHypergraph
+    roots: RootMultiset | None = None
+    matroid: Matroid | None = None
+    bounds: Bounds | None = None
+    h: SetFunctionOracle | None = None
+
+
+_KIND_TESTS = {
+    "digraph": (MixedHypergraph.is_digraph, "a digraph (single-tail dyperedges only)"),
+    "mixed_graph": (MixedHypergraph.is_mixed_graph, "a mixed graph (size-2 hyperedges, single-tail dyperedges)"),
+    "dypergraph": (MixedHypergraph.is_dypergraph, "a dypergraph (no hyperedges)"),
+    "graph": (lambda f: not f.dyperedges, "an undirected graph or hypergraph"),
+    "mixed_hypergraph": (lambda f: True, ""),
+}
+
+
+def check_inputs(inst: Instance, what: str, graph: str = "mixed_hypergraph",
+                 needs: tuple[str, ...] = (), bounds: tuple[str, ...] = (),
+                 requires: tuple = ()) -> None:
+    """Raise ValueError unless inst has everything what reads: a graph of
+    the kind graph (a key of _KIND_TESTS), the Instance fields in needs
+    (roots, matroid and h are checked here, bounds through its fields),
+    the Bounds fields in bounds, and every (test, description) in requires."""
+    test, desc = _KIND_TESTS[graph]
+    if not test(inst.graph):
+        raise ValueError(f"{what} needs {desc}")
+    if "roots" in needs:
+        if inst.roots is None:
+            raise ValueError(f"{what} needs a root multiset")
+        if len(inst.roots.counts) != inst.graph.n:
+            raise ValueError("root multiset does not match the vertex count")
+    if "matroid" in needs:
+        if inst.matroid is None:
+            raise ValueError(f"{what} needs a matroid on the root multiset")
+        if frozenset(inst.matroid.ground) != frozenset(inst.roots.copies()):
+            raise ValueError("matroid ground must be exactly the root copies")
+    if "h" in needs and inst.h is None:
+        raise ValueError(f"{what} needs a set function h")
+    for name in bounds:
+        val = None if inst.bounds is None else getattr(inst.bounds, name)
+        if val is None:
+            raise ValueError(f"{what} needs bounds.{name}")
+        if name in ("f", "g") and len(val) != inst.graph.n:
+            raise ValueError(f"bounds.{name} does not match the vertex count")
+    for holds, description in requires:
+        if not holds(inst):
+            raise ValueError(f"{what} needs {description}")
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,9 @@ from arbopack import (
     ConditionId,
     GPoly,
     Instance,
+    Member,
+    Packing,
+    Pick,
     Plank,
     UniformMatroid,
     Verdict,
@@ -24,13 +27,16 @@ from arbopack import (
     gpoly_contains,
     integer_points,
     intersect_plank,
+    main_pack,
     minkowski_sum,
+    packing,
     subsets,
     t_contains,
     violating_subpartition,
     witness_violates,
 )
 from arbopack.fuzz import _random_bounds, _random_mixed_hypergraph
+from arbopack.matroids import element_head
 
 from conftest import all_mixed_hypergraphs, mh
 
@@ -164,16 +170,39 @@ class TestTPolyhedron:
         assert copies == [("E", 0, 0), ("E", 0, 1)]
 
     def test_pair_matches_manual_plank_intersection(self):
-        f = mh(2, [{0, 1}], [({0}, 1)])
-        b = main_bounds(2, k=1, l=1, lprime=2)
-        t = build_t(f, b)
-        base = GPoly(t.ground, t.p_sum, t.b_sum)
-        manual = intersect_plank(
-            base, Plank(b.k * f.n - b.lprime, b.k * f.n - b.l))
-        assert manual is not None
-        for z in subsets(t.ground):
-            assert t.p(z) == manual.p(z)
-            assert t.b(z) == manual.b(z)
+        # the per-vertex pieces written out over head counts of element sets
+        compared = 0
+        for t in TestSweeps.grid():
+            f, b = t.f, t.bounds
+
+            def heads(z, v):
+                return sum(1 for e in z if element_head(f, e) == v)
+
+            def p_sum(z):
+                rest = t.ground_set - z
+                return sum(max(0, b.k - b.g_k(v) - heads(rest, v)) for v in range(f.n))
+
+            def b_sum(z):
+                return sum(min(heads(z, v), b.k - b.f[v]) for v in range(f.n))
+
+            manual = intersect_plank(GPoly(t.ground, p_sum, b_sum),
+                                     Plank(b.k * f.n - b.lprime, b.k * f.n - b.l))
+            if manual is None:
+                assert any(t.p(z) > t.b(z) for z in subsets(t.ground))
+                continue
+            for z in subsets(t.ground):
+                assert t.p(z) == manual.p(z)
+                assert t.b(z) == manual.b(z)
+            compared += 1
+        assert compared > 200
+
+    def test_bounds_reject_elements_outside_ground(self):
+        t = build_t(mh(3, [{0, 1}], []), main_bounds(3))
+        for z in ({("E", 0, 2)}, {("A", 0)}, {("E", 1, 0)}):
+            with pytest.raises(ValueError):
+                t.p(z)
+            with pytest.raises(ValueError):
+                t.b(z)
 
     def test_upper_respects_member_minimum(self):
         f = mh(3, [{0, 1}], [({0}, 1), ({1}, 2), ({2}, 0)])
@@ -298,6 +327,39 @@ class TestSweeps:
         assert peak < 1_000_000
 
 
+class TestMainPack:
+    # two hyperedges (4 oriented copies) and both directions of a 4-cycle:
+    # a 12-element ground, one root forced at vertex 0
+    CYCLE = mh(4, [{0, 1}, {2, 3}],
+               [({u}, (u + 1) % 4) for u in range(4)] + [({(u + 1) % 4}, u) for u in range(4)])
+    BOUNDS = Bounds(f=(1, 0, 0, 0), g=(1, 1, 1, 1), k=1, l=1, lprime=1)
+
+    def test_packing_and_steps_pinned(self):
+        assert len(build_t(self.CYCLE, self.BOUNDS).ground) == 12
+        budget = Budget(10**6)
+        got = main_pack(self.CYCLE, self.BOUNDS, budget)
+        assert got == Packing((Member(0, 0, (Pick("A", 0, 0, 1), Pick("A", 1, 1, 2),
+                                              Pick("A", 2, 2, 3))),))
+        assert 10**6 - budget.remaining == 13818
+
+    def test_memory_bounded_and_nothing_cached_on_t(self, monkeypatch):
+        built = []
+
+        def build(f, bounds):
+            built.append(build_t(f, bounds))
+            return built[-1]
+
+        monkeypatch.setattr(packing, "build_t", build)
+        tracemalloc.start()
+        try:
+            assert isinstance(main_pack(self.CYCLE, self.BOUNDS), Packing)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        assert [name for name in vars(built[0]) if name.startswith("_memo_")] == []
+
+
 class TestWitnessTranslation:
     def test_rank_partition_matches_rank(self):
         f = mh(2, [{0, 1}], [({0}, 1)])
@@ -326,3 +388,23 @@ class TestWitnessTranslation:
                 f, b, elems, which, parts)
             translated += 1
         assert translated > 5
+
+    @pytest.mark.parametrize("elems, which", [
+        ((("E", 0, 0),), "x"),
+        ((("E", 0, 2),), "g"),  # vertex 2 is not on the hyperedge
+        ((("A", 9),), "f"),
+        ((("E", 0, 7),), "g"),
+    ], ids=["side", "head-off-edge", "no-arc", "head-off-graph"])
+    def test_malformed_ground_subset_witness_rejected(self, elems, which):
+        inst = Instance(graph=mh(3, [{0, 1}], []), bounds=main_bounds(3))
+        with pytest.raises(ValueError):
+            witness_violates(ConditionId.LEMMA1B, inst, Witness("ground_subset", (elems, which)))
+
+    def test_subpartition_checks_side_before_sweep(self):
+        t = build_t(mh(3, [{0, 1}], []), main_bounds(3))
+        budget = Budget(10)
+        with pytest.raises(ValueError):
+            violating_subpartition(t, (), "x", budget)
+        assert budget.remaining == 10
+        with pytest.raises(ValueError):
+            violating_subpartition(t, (("E", 0, 2),), "g", budget)

@@ -18,7 +18,6 @@ from arbopack import (
     MixedHypergraph,
     RootMultiset,
     SetFunctionOracle,
-    TPolyhedron,
     build_t,
     entering_count,
     in_degree,
@@ -304,8 +303,6 @@ MEMOIZED = [
     (SetFunctionOracle, "__call__", lambda: SetFunctionOracle(3, len)),
     (GPoly, "p", lambda: GPoly(range(3), len, lambda z: 2 * len(z))),
     (GPoly, "b", lambda: GPoly(range(3), len, lambda z: 2 * len(z))),
-    (TPolyhedron, "p", _polyhedron),
-    (TPolyhedron, "b", _polyhedron),
     (HypergraphicMatroid, "_indep", _triangle),
     (KSumMatroid, "_indep", lambda: KSumMatroid(_triangle(), 2)),
 ]
