@@ -6,6 +6,11 @@ order.  CONDITIONS holds one record per id and writes each inequality once:
 evaluate() sweeps it and returns the first violated instance as a witness,
 so repeated runs give identical certificates, and witness_violates()
 recomputes the same inequality at a given witness.
+
+The subset and subpartition sweeps run on vertex bit masks (bit v for
+vertex v), and their value closures read masks; a witness carries its
+member back as frozensets, and witness_violates() reads it forward to
+masks, rejecting a payload the sweep could not have produced.
 """
 from __future__ import annotations
 
@@ -36,12 +41,19 @@ from .structures import (
     Witness,
     as_budget,
     check_inputs,
-    entering_count,
+    entering_mask,
     in_degree,
+    in_degree_mask,
+    low_bits,
+    mask_bits,
+    mask_sum,
+    mask_vertices,
     reach_to,
+    reach_to_mask,
     scc_condense,
-    subpartitions,
-    subsets,
+    subpartition_masks,
+    subset_masks,
+    vertex_mask,
 )
 
 
@@ -73,8 +85,22 @@ def _need(inst: Instance, cond: ConditionId) -> Condition:
     return rec
 
 
-def _root_rank(inst: Instance, x) -> int:
-    return inst.matroid.rank(inst.roots.restrict(x))
+def _root_rank(inst: Instance) -> Callable[[int], int]:
+    """The matroid rank of the root copies on a vertex mask, cached for one
+    evaluation per trace of the mask on the roots' support: the rank reads
+    only those copies, and no matroid rank spends budget."""
+    s, m = inst.roots, inst.matroid
+    support = vertex_mask(s.support())
+    table: dict[int, int] = {}
+
+    def rank(x: int) -> int:
+        key = x & support
+        got = table.get(key)
+        if got is None:
+            got = table[key] = m.rank(s.restrict(mask_bits(key)))
+        return got
+
+    return rank
 
 
 # ---------------------------------------------------------------------------
@@ -87,21 +113,67 @@ class Quantifier(NamedTuple):
 
     kind: str
     sweep: Callable[[Instance, Budget, Callable, str], Verdict]
-    args: Callable[[MixedHypergraph, tuple], tuple] = lambda f, payload: payload
+    args: Callable[[Instance, tuple], tuple] = lambda inst, payload: payload
 
 
-def _quantifier(kind, ground) -> Quantifier:
+def _quantifier(kind, ground, out=lambda member: member,
+                back=lambda inst, member: member) -> Quantifier:
     """Quantifier over the members ground(inst, budget) yields; a witness
-    payload is the violating member alone."""
+    payload is the violating member alone, as out(member), and
+    back(inst, payload member) reads it back."""
 
     def sweep(inst, budget, value, note) -> Verdict:
         for member in ground(inst, budget):
             lhs, rhs = value(member)
             if lhs < rhs:
-                return Verdict(False, Witness(kind, (member,), lhs, rhs, note))
+                return Verdict(False, Witness(kind, (out(member),), lhs, rhs, note))
         return HOLDS
 
-    return Quantifier(kind, sweep)
+    def args(inst, payload) -> tuple:
+        if len(payload) != 1:
+            raise ValueError(f"a {kind} witness carries one member")
+        return (back(inst, payload[0]),)
+
+    return Quantifier(kind, sweep, args)
+
+
+def _read_mask(inst: Instance, x, allowed: int, what: str) -> int:
+    """The mask of a witness vertex set, every vertex in the mask allowed."""
+    if not isinstance(x, (frozenset, set, tuple, list)):
+        raise ValueError(f"witness member {x!r} is not a vertex set")
+    mask = 0
+    for v in x:
+        if not (isinstance(v, int) and 0 <= v < inst.graph.n and allowed >> v & 1):
+            raise ValueError(f"witness vertex {v!r} is not {what}")
+        mask |= 1 << v
+    return mask
+
+
+def _subset_quantifier(pool, include_empty: bool, what: str = "a vertex") -> Quantifier:
+    """Quantifier over the subsets of pool(inst), a sorted vertex list, as
+    masks; nonempty ones only unless include_empty."""
+
+    def back(inst, x) -> int:
+        mask = _read_mask(inst, x, vertex_mask(pool(inst)), what)
+        if not (mask or include_empty):
+            raise ValueError("witness subset must be nonempty")
+        return mask
+
+    return _quantifier("subset", lambda inst, budget: subset_masks(
+        [1 << v for v in pool(inst)], include_empty, budget), mask_vertices, back)
+
+
+def _read_subpartition(inst: Instance, parts) -> tuple[int, ...]:
+    """The masks of a witness subpartition's parts, nonempty and disjoint."""
+    if not isinstance(parts, (tuple, list)):
+        raise ValueError(f"witness member {parts!r} is not a tuple of parts")
+    masks = tuple(_read_mask(inst, y, -1, "a vertex") for y in parts)
+    seen = 0
+    for y in masks:
+        if not y or y & seen:
+            raise ValueError("witness parts must be nonempty and pairwise disjoint")
+        seen |= y
+    return masks
 
 
 def _global_sweep(inst, budget, value, note) -> Verdict:
@@ -111,35 +183,43 @@ def _global_sweep(inst, budget, value, note) -> Verdict:
     return HOLDS
 
 
-def closed_extensions(f: MixedHypergraph, outside: list[int], trace: frozenset[int],
-                      budget: Budget, closed: list[bool]) -> Iterator[frozenset[int]]:
-    """The sets Y in a component's closure that meet the component C in
-    trace and have nothing entering Y - C: trace plus each subset of
-    outside (the closure minus C, sorted) that nothing enters, in subset
-    order; one budget step per subset.  closed[i] says whether nothing
-    enters the i-th subset; the traces of one component share the list,
-    so each subset is tested once, by the first trace that reaches it."""
-    for i, extra in enumerate(subsets(outside)):
+def closed_extensions(f: MixedHypergraph, outside: list[int], trace: int,
+                      budget: Budget, closed: list[bool]) -> Iterator[int]:
+    """The vertex masks Y in a component's closure that meet the component
+    C in the mask trace and have nothing entering Y - C: trace plus each
+    subset of outside (the bits of the closure minus C, increasing) that
+    nothing enters, in subset order; one budget step per subset.
+    closed[i] says whether nothing enters the i-th subset; the traces of
+    one component share the list, so each subset is tested once, by the
+    first trace that reaches it."""
+    for i, extra in enumerate(subset_masks(outside)):
         budget.spend()
         if i == len(closed):
-            closed.append(entering_count(f, (extra,)) == 0)
+            closed.append(entering_mask(f, (extra,)) == 0)
         if closed[i]:
             yield trace | extra
 
 
+def component_masks(f: MixedHypergraph, c: frozenset[int]) -> tuple[int, list[int], list[int]]:
+    """The closure mask of component c, then the bits of c and of the
+    closure minus c, each increasing."""
+    inside = vertex_mask(c)
+    closure = reach_to_mask(f, inside)
+    return closure, [1 << v for v in sorted(c)], [1 << v for v in mask_bits(closure & ~inside)]
+
+
 def _iter_component_families(
     f: MixedHypergraph, budget: Budget
-) -> Iterator[tuple[frozenset[int], frozenset[int], tuple[frozenset[int], ...]]]:
+) -> Iterator[tuple[frozenset[int], int, tuple[int, ...]]]:
     """Per strongly connected component C with closure P: every family of
-    subsets of P whose members meet C in pairwise disjoint nonempty traces
-    and whose parts outside C have nothing entering them."""
+    vertex masks in P whose members meet C in pairwise disjoint nonempty
+    traces and whose parts outside C have nothing entering them."""
     for c in scc_condense(f):
-        p = reach_to(f, c)
-        outside = sorted(p - c)
+        p, inside, outside = component_masks(f, c)
         closed: list[bool] = []
         cands = {trace: list(closed_extensions(f, outside, trace, budget, closed))
-                 for trace in subsets(sorted(c), include_empty=False)}
-        for traces in subpartitions(sorted(c), budget=budget):
+                 for trace in subset_masks(inside, include_empty=False)}
+        for traces in subpartition_masks(inside, budget):
             if not traces:
                 continue
             for choice in itertools.product(*(cands[t] for t in traces)):
@@ -148,40 +228,48 @@ def _iter_component_families(
 
 
 def _iter_component_subsets(f: MixedHypergraph, budget: Budget):
-    """One-member families: per component C with closure P, every subset of
-    P meeting C whose part outside C has nothing entering it."""
+    """One-member families: per component C with closure P, every vertex
+    mask in P meeting C whose part outside C has nothing entering it."""
     for c in scc_condense(f):
-        p = reach_to(f, c)
-        for x in subsets(sorted(p), include_empty=False, budget=budget):
-            if x & c and in_degree(f, x - c) == 0:
+        inside = vertex_mask(c)
+        p = reach_to_mask(f, inside)
+        for x in subset_masks([1 << v for v in mask_bits(p)], False, budget):
+            if x & inside and in_degree_mask(f, x & ~inside) == 0:
                 yield c, p, (x,)
 
 
 def _family_sweep(families) -> Quantifier:
     """Quantifier over component families; the value closure reads the
-    closure P and the family, a witness payload is the component and the
-    family."""
+    closure P and the family as masks, a witness payload is the component
+    and the family as frozensets."""
 
     def sweep(inst, budget, value, note) -> Verdict:
         for c, p, family in families(inst.graph, budget):
             lhs, rhs = value(p, family)
             if lhs < rhs:
-                return Verdict(False, Witness("component_family", (c, family), lhs, rhs, note))
+                return Verdict(False, Witness(
+                    "component_family", (c, tuple(mask_vertices(z) for z in family)),
+                    lhs, rhs, note))
         return HOLDS
 
-    return Quantifier("component_family", sweep,
-                      lambda f, payload: (reach_to(f, payload[0]), payload[1]))
+    def args(inst, payload) -> tuple:
+        c, family = payload
+        return (reach_to_mask(inst.graph, vertex_mask(c)),
+                tuple(vertex_mask(z) for z in family))
+
+    return Quantifier("component_family", sweep, args)
 
 
 _VERTEX = _quantifier("vertex", lambda inst, budget: range(inst.graph.n))
 _GLOBAL = Quantifier("global", _global_sweep)
-_SUBSETS = _quantifier("subset", lambda inst, budget: subsets(range(inst.graph.n), budget=budget))
-_NONEMPTY_SUBSETS = _quantifier("subset", lambda inst, budget: subsets(
-    range(inst.graph.n), include_empty=False, budget=budget))
-_NON_ROOT_SUBSETS = _quantifier("subset", lambda inst, budget: subsets(
-    sorted(set(range(inst.graph.n)) - inst.roots.support()), include_empty=False, budget=budget))
-_SUBPARTITIONS = _quantifier("subpartition", lambda inst, budget: subpartitions(
-    range(inst.graph.n), budget=budget))
+_SUBSETS = _subset_quantifier(lambda inst: range(inst.graph.n), True)
+_NONEMPTY_SUBSETS = _subset_quantifier(lambda inst: range(inst.graph.n), False)
+_NON_ROOT_SUBSETS = _subset_quantifier(
+    lambda inst: sorted(set(range(inst.graph.n)) - inst.roots.support()), False,
+    "a vertex without roots")
+_SUBPARTITIONS = _quantifier(
+    "subpartition", lambda inst, budget: subpartition_masks(low_bits(inst.graph.n), budget),
+    lambda parts: tuple(mask_vertices(y) for y in parts), _read_subpartition)
 _COMPONENT_FAMILIES = _family_sweep(_iter_component_families)
 _COMPONENT_SUBSETS = _family_sweep(_iter_component_subsets)
 # the rank sweep of T's emptiness test names its own inequalities and notes
@@ -212,36 +300,38 @@ class Condition(NamedTuple):
     requires: tuple[tuple[Callable[[Instance], bool], str], ...] = ()  # (test, what it needs)
 
 
+# Subset and subpartition values read vertex masks; the parts of a
+# subpartition are disjoint, so their sum is their union.
+
 def _edmonds(inst):
     f, s, total = inst.graph, inst.roots, inst.roots.size()
-    return lambda x: (in_degree(f, x), total - s.size_of(x))
+    return lambda x: (in_degree_mask(f, x), total - s.size_of(x))
 
 
 def _frank_mixed(inst):
     f, s, total = inst.graph, inst.roots, inst.roots.size()
-    return lambda parts: (entering_count(f, parts),
-                          total * len(parts) - s.size_of(frozenset().union(*parts)))
+    return lambda parts: (entering_mask(f, parts), total * len(parts) - s.size_of(sum(parts)))
 
 
 def _kkt(inst):
     f, s = inst.graph, inst.roots
-    return lambda x: (in_degree(f, x), s.size_of(reach_to(f, x)) - s.size_of(x))
+    return lambda x: (in_degree_mask(f, x), s.size_of(reach_to_mask(f, x)) - s.size_of(x))
 
 
 def _dgns(inst):
-    f = inst.graph
-    full = _root_rank(inst, range(f.n))
-    return lambda x: (in_degree(f, x), full - _root_rank(inst, x))
+    f, rank = inst.graph, _root_rank(inst)
+    full = rank((1 << f.n) - 1)
+    return lambda x: (in_degree_mask(f, x), full - rank(x))
 
 
 def _kiraly(inst):
-    f = inst.graph
-    return lambda x: (in_degree(f, x), _root_rank(inst, reach_to(f, x)) - _root_rank(inst, x))
+    f, rank = inst.graph, _root_rank(inst)
+    return lambda x: (in_degree_mask(f, x), rank(reach_to_mask(f, x)) - rank(x))
 
 
 def _family(f, member):
     """entering(family) against the sum of member(P, Z) over its members Z."""
-    return lambda p, family: (entering_count(f, family), sum(member(p, z) for z in family))
+    return lambda p, family: (entering_mask(f, family), sum(member(p, z) for z in family))
 
 
 def _mt(inst):
@@ -250,17 +340,22 @@ def _mt(inst):
 
 
 def _gy(inst):
-    closure_rank = functools.cache(lambda p: _root_rank(inst, p))
-    return _family(inst.graph, lambda p, z: closure_rank(p) - _root_rank(inst, z))
+    rank = _root_rank(inst)
+    return _family(inst.graph, lambda p, z: rank(p) - rank(z))
+
+
+def _h_of_mask(inst):
+    """inst.h on vertex masks, cached for one evaluation."""
+    return functools.cache(lambda y: inst.h(mask_vertices(y)))
 
 
 def _frank_orient(inst):
-    f, h = inst.graph, inst.h
-    return lambda parts: (entering_count(f, parts), sum(h(x) for x in parts))
+    f, h = inst.graph, _h_of_mask(inst)
+    return lambda parts: (entering_mask(f, parts), sum(h(y) for y in parts))
 
 
 def _new_orient(inst):
-    h = inst.h
+    h = _h_of_mask(inst)
     return _family(inst.graph, lambda p, z: h(z) - h(p))
 
 
@@ -269,12 +364,12 @@ def _bounded(slack, cap):
 
     def value_of(inst):
         f, b = inst.graph, inst.bounds
-        everything = frozenset(range(f.n))
+        everything = (1 << f.n) - 1
 
         def value(parts):
-            union = frozenset().union(*parts)
-            return (entering_count(f, parts),
-                    b.k * len(parts) - min(slack(b, everything - union), cap(b, union)))
+            union = sum(parts)
+            return (entering_mask(f, parts),
+                    b.k * len(parts) - min(slack(b, everything ^ union), cap(b, union)))
 
         return value
 
@@ -283,12 +378,12 @@ def _bounded(slack, cap):
 
 def _fkk(inst):
     f, k = inst.graph, inst.roots.size()
-    return lambda x: (in_degree(f, x), k)
+    return lambda x: (in_degree_mask(f, x), k)
 
 
 def _cor1(inst):
     f, s, k = inst.graph, inst.roots, inst.bounds.k
-    return lambda x: (in_degree(f, x), k - s.size_of(x))
+    return lambda x: (in_degree_mask(f, x), k - s.size_of(x))
 
 
 def _lemma1b(inst):
@@ -296,7 +391,7 @@ def _lemma1b(inst):
 
 
 def _g_sum(b, union):
-    return sum(b.g[v] for v in union)
+    return mask_sum(b.g, union)
 
 
 _FORCED = "elements entering vs forced roots"
@@ -375,7 +470,7 @@ def witness_violates(cond: ConditionId | str, inst: Instance, witness: Witness) 
     cond = ConditionId(cond)
     for check in _need(inst, cond).checks:
         if check.over.kind == witness.kind:
-            lhs, rhs = check.value(inst)(*check.over.args(inst.graph, witness.payload))
+            lhs, rhs = check.value(inst)(*check.over.args(inst, witness.payload))
             return lhs < rhs
     raise ValueError(f"no inequality named {witness.kind!r} for {cond.value}")
 

@@ -27,6 +27,7 @@ from .structures import (
     Witness,
     as_budget,
     check_inputs,
+    low_bits,
     mask_items,
     memo,
     subset_masks,
@@ -180,7 +181,7 @@ def root_window(b: Bounds, v: int) -> tuple[int, int]:
 
 def member_window(b: Bounds, n: int) -> tuple[int, int]:
     """The most members the capped upper bounds and lprime allow, against l."""
-    return min(b.g_k_sum(range(n)), b.lprime), b.l
+    return min(b.g_k_sum((1 << n) - 1), b.lprime), b.l
 
 
 # The sides of the emptiness inequality with their notes, in the order
@@ -294,7 +295,7 @@ def ground_sweep(t: TPolyhedron, cap: int | Budget | None = None) -> Verdict:
     ground = t.ground
     full = (1 << len(ground)) - 1
     bases = {0: 0}
-    for z in subset_masks(len(ground), budget):
+    for z in subset_masks(low_bits(len(ground)), budget=budget):
         rank_rest = t.matroid.greedy_basis(bases, full ^ z).bit_count()
         for (which, note), demand in zip(SIDES.items(), t.demands(t.head_counts(z))):
             if rank_rest < demand:
@@ -339,12 +340,13 @@ def integer_points(t: TPolyhedron, cap: int | Budget | None = None):
     those of t_contains: one per support and one per z tried."""
     budget = as_budget(cap)
     ground = t.ground
+    bits = low_bits(len(ground))
     pb: dict[int, tuple[int, int]] = {}
-    for s in subset_masks(len(ground), budget):
+    for s in subset_masks(bits, budget=budget):
         support = mask_items(ground, s)
         if not t.matroid.independent(support):
             continue
-        for z in subset_masks(len(ground), budget):
+        for z in subset_masks(bits, budget=budget):
             low_high = pb.get(z)
             if low_high is None:
                 low_high = pb[z] = t.pair(z)

@@ -39,6 +39,11 @@ def _require(cond: bool, msg: str) -> None:
         raise SchemaError(msg)
 
 
+def _is_int(x) -> bool:
+    """A JSON integer: true and false parse as bool, which is an int too."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _check_version(doc: dict) -> None:
     version = doc.get("schema_version", SCHEMA_VERSION)
     _require(version == SCHEMA_VERSION, f"unsupported schema_version {version!r}")
@@ -61,7 +66,7 @@ def _copy_ref(ref, idx: dict[str, int], roots: RootMultiset) -> tuple[int, int]:
     if isinstance(ref, str):
         ref = [ref, 0]
     _require(
-        isinstance(ref, list) and len(ref) == 2 and isinstance(ref[1], int),
+        isinstance(ref, list) and len(ref) == 2 and _is_int(ref[1]),
         f"root copy reference must be [name, copy], got {ref!r}",
     )
     v = _vertex(ref[0], idx, "matroid element")
@@ -74,10 +79,10 @@ def parse_matroid(doc, graph: MixedHypergraph, roots: RootMultiset | None,
     _require(isinstance(doc, dict) and "kind" in doc, "matroid must be an object with a kind")
     kind = doc["kind"]
     if kind == "extended":
-        _require(isinstance(doc.get("k"), int) and doc["k"] >= 1, "extended matroid needs k >= 1")
+        _require(_is_int(doc.get("k")) and doc["k"] >= 1, "extended matroid needs k >= 1")
         return ExtendedHypergraphicMatroid(graph, doc["k"])
     if kind == "ksum":
-        _require(isinstance(doc.get("k"), int) and doc["k"] >= 1, "ksum matroid needs k >= 1")
+        _require(_is_int(doc.get("k")) and doc["k"] >= 1, "ksum matroid needs k >= 1")
         inner = parse_matroid(doc.get("inner"), graph, roots, idx)
         return KSumMatroid(inner, doc["k"])
     _require(roots is not None, f"matroid kind {kind!r} is grounded on root copies")
@@ -85,7 +90,7 @@ def parse_matroid(doc, graph: MixedHypergraph, roots: RootMultiset | None,
     if kind == "free":
         return FreeMatroid(ground)
     if kind == "uniform":
-        _require(isinstance(doc.get("r"), int) and doc["r"] >= 0, "uniform matroid needs r")
+        _require(_is_int(doc.get("r")) and doc["r"] >= 0, "uniform matroid needs r")
         return UniformMatroid(ground, doc["r"])
     if kind == "partition":
         blocks = doc.get("blocks")
@@ -114,12 +119,12 @@ def parse_matroid(doc, graph: MixedHypergraph, roots: RootMultiset | None,
 
 
 def _vec(val, n: int, idx: dict[str, int], what: str) -> tuple[int, ...]:
-    if isinstance(val, int):
+    if _is_int(val):
         return (val,) * n
     _require(isinstance(val, dict), f"{what} must be an integer or a name map")
     out = [0] * n
     for name, x in val.items():
-        _require(isinstance(x, int), f"{what} values must be integers")
+        _require(_is_int(x), f"{what} values must be integers")
         out[_vertex(name, idx, what)] = x
     return tuple(out)
 
@@ -134,7 +139,7 @@ def parse_bounds(doc, n: int, idx: dict[str, int]) -> Bounds:
             kw[name] = _vec(doc[name], n, idx, f"bounds.{name}")
     for name in ("k", "l", "lprime"):
         if name in doc:
-            _require(isinstance(doc[name], int), f"bounds.{name} must be an integer")
+            _require(_is_int(doc[name]), f"bounds.{name} must be an integer")
             kw[name] = doc[name]
     try:
         return Bounds(**kw)
@@ -150,6 +155,8 @@ def parse_instance(doc) -> tuple[Instance, tuple[str, ...]]:
     names, idx = _names(doc)
     n = len(names)
 
+    for key in ("hyperedges", "dyperedges"):
+        _require(isinstance(doc.get(key, []), list), f"{key} must be a list")
     hyperedges = []
     for e in doc.get("hyperedges", []):
         _require(isinstance(e, list), "each hyperedge must be a list of names")
@@ -158,6 +165,7 @@ def parse_instance(doc) -> tuple[Instance, tuple[str, ...]]:
     for a in doc.get("dyperedges", []):
         _require(isinstance(a, dict) and "tails" in a and "head" in a,
                  "each dyperedge must be {tails, head}")
+        _require(isinstance(a["tails"], list), "dyperedge tails must be a list of names")
         tails = frozenset(_vertex(v, idx, "dyperedge tails") for v in a["tails"])
         dyperedges.append((tails, _vertex(a["head"], idx, "dyperedge head")))
     try:
@@ -171,7 +179,7 @@ def parse_instance(doc) -> tuple[Instance, tuple[str, ...]]:
         _require(isinstance(rdoc, dict), "roots must be a name -> count map")
         counts = [0] * n
         for name, c in rdoc.items():
-            _require(isinstance(c, int) and c >= 0, "root counts must be nonnegative integers")
+            _require(_is_int(c) and c >= 0, "root counts must be nonnegative integers")
             counts[_vertex(name, idx, "roots")] = c
         roots = RootMultiset(tuple(counts))
 
@@ -260,13 +268,13 @@ def parse_packing(doc, names: tuple[str, ...]) -> Packing:
         _require(isinstance(mdoc, dict) and "root" in mdoc, "each member needs a root")
         root = _vertex(mdoc["root"], idx, "member root")
         copy = mdoc.get("copy", 0)
-        _require(isinstance(copy, int) and copy >= 0, "member copy must be a nonnegative integer")
+        _require(_is_int(copy) and copy >= 0, "member copy must be a nonnegative integer")
         picks = []
         for pdoc in mdoc.get("picks", []):
             _require(
                 isinstance(pdoc, dict)
                 and pdoc.get("kind") in ("E", "A")
-                and isinstance(pdoc.get("index"), int),
+                and _is_int(pdoc.get("index")),
                 "each pick needs kind E|A and an index",
             )
             picks.append(Pick(
@@ -329,7 +337,7 @@ def parse_extended_elements(doc, names: tuple[str, ...]) -> frozenset[tuple]:
     out = []
     for e in _element_list(doc):
         _require(isinstance(e, list) and e[:1] in (["A"], ["E"])
-                 and len(e) == (2 if e[0] == "A" else 3) and isinstance(e[1], int),
+                 and len(e) == (2 if e[0] == "A" else 3) and _is_int(e[1]),
                  f"bad extended element {e!r}")
         if e[0] == "A":
             out.append(("A", e[1]))
@@ -348,7 +356,7 @@ def parse_set_function(doc, names: tuple[str, ...]) -> SetFunctionOracle:
     for entry in doc["values"]:
         _require(isinstance(entry, dict) and "set" in entry and "value" in entry,
                  "each value entry needs set and value")
-        _require(isinstance(entry["value"], int), "set function values must be integers")
+        _require(_is_int(entry["value"]), "set function values must be integers")
         key = frozenset(_vertex(v, idx, "set function") for v in entry["set"])
         _require(key not in table, "duplicate set in set function table")
         table[key] = entry["value"]

@@ -18,11 +18,12 @@ from .structures import (
     Verdict,
     Witness,
     as_budget,
-    dyperedge_enters,
-    hyperedge_enters,
+    entering_mask,
+    low_bits,
     mask_items,
+    mask_vertices,
     memo,
-    set_partitions,
+    partition_masks,
     subset_masks,
 )
 
@@ -314,18 +315,16 @@ class ExtendedHypergraphicMatroid(Matroid):
         rank of z."""
         z = self._check(zs)
         f = self.f
-        z_arcs = frozenset(e[1] for e in z if e[0] == ARC)
-        z_hypers = frozenset(e[1] for e in z if e[0] == COPY)
+        # the elements of f with a copy in z, each once
+        z_graph = MixedHypergraph(
+            f.n, tuple(f.hyperedges[i] for i in sorted({e[1] for e in z if e[0] == COPY})),
+            tuple(f.dyperedges[j] for j in sorted({e[1] for e in z if e[0] == ARC})))
 
-        def value(parts) -> int:
-            return (self.k * (f.n - len(parts))
-                    + sum(1 for j in z_arcs
-                          if any(dyperedge_enters(f.dyperedges[j], y) for y in parts))
-                    + sum(1 for i in z_hypers
-                          if any(hyperedge_enters(f.hyperedges[i], y) for y in parts)))
+        def value(parts: tuple[int, ...]) -> int:
+            return self.k * (f.n - len(parts)) + entering_mask(z_graph, parts)
 
-        best = min(set_partitions(range(f.n), budget=as_budget(cap)), key=value)
-        return best, value(best)
+        best = min(partition_masks(low_bits(f.n), as_budget(cap)), key=value)
+        return tuple(mask_vertices(y) for y in best), value(best)
 
     def rank_by_partition_formula(self, zs: Iterable, cap: int | Budget | None = None) -> int:
         """Rank through the partition minimum; at most 10 vertices."""
@@ -356,7 +355,7 @@ def check_rank_axioms(m: Matroid, cap: int | Budget | None = None) -> Verdict:
         return Verdict(False, Witness("subset", (frozenset(),), lhs=r[0], rhs=0,
                                       note="rank of the empty set"))
     order = []
-    for z in subset_masks(len(ground), budget):
+    for z in subset_masks(low_bits(len(ground)), budget=budget):
         order.append(z)
         rz = r[z]  # stored by the pair step of a smaller subset, and checked there
         for i, e in enumerate(ground):

@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .conditions import ConditionId, Instance, closed_extensions, evaluate
+from .conditions import ConditionId, Instance, closed_extensions, component_masks, evaluate
 from .setfuncs import SetFunctionOracle, check_intersecting_supermodular
 from .structures import (
     HOLDS,
@@ -26,13 +26,17 @@ from .structures import (
     Witness,
     as_budget,
     entering_count,
-    hyperedge_enters,
+    entering_mask,
     in_degree,
+    in_degree_mask,
     induced_subgraph,
+    mask_vertices,
     orient_all,
     reach_to,
     scc_condense,
+    subset_masks,
     subsets,
+    vertex_mask,
 )
 
 _VERIFY_SUPERMOD_LIMIT = 8
@@ -126,29 +130,22 @@ def frank_orient(g: MixedHypergraph, h: SetFunctionOracle,
         return condition
 
     m = len(g.hyperedges)
-    all_sets = list(subsets(range(g.n), include_empty=False))
-    demand = {x: h(x) for x in all_sets}
-    # a set is decided once every hyperedge able to enter it has a head
-    buckets: list[list[frozenset[int]]] = [[] for _ in range(m + 1)]
-    for x in all_sets:
-        last = -1
-        for i, e in enumerate(g.hyperedges):
-            if hyperedge_enters(e, x):
-                last = i
-        buckets[last + 1].append(x)
+    # a set is decided once every hyperedge able to enter it has a head;
+    # an oriented hyperedge enters x iff it enters x unoriented and its head
+    # lies in x
+    singles = [MixedHypergraph(g.n, (e,)) for e in g.hyperedges]
+    buckets: list[list[tuple[int, int, list[int]]]] = [[] for _ in range(m + 1)]
+    for x in subsets(range(g.n), include_empty=False):
+        xm = vertex_mask(x)
+        entering = [i for i, one in enumerate(singles) if entering_mask(one, (xm,))]
+        buckets[entering[-1] + 1 if entering else 0].append((xm, h(x), entering))
 
     heads: list[int] = []
 
-    def oriented_in_degree(x: frozenset[int]) -> int:
-        return sum(
-            1 for i, head in enumerate(heads)
-            if head in x and g.hyperedges[i] - x
-        )
-
     def search(t: int) -> bool:
-        for x in buckets[t]:
+        for x, demand, entering in buckets[t]:
             budget.spend()
-            if oriented_in_degree(x) < demand[x]:
+            if sum(x >> heads[i] & 1 for i in entering) < demand:
                 return False
         if t == m:
             return True
@@ -178,19 +175,18 @@ def compute_h2(f: MixedHypergraph, h: SetFunctionOracle, c: frozenset[int],
     exists; the first maximizer in canonical order is recorded.
     """
     budget = as_budget(cap)
-    p = reach_to(f, c)
-    outside = sorted(p - c)
+    p, inside, outside = component_masks(f, c)
     table: dict[frozenset[int], tuple[int, frozenset[int]]] = {}
     closed: list[bool] = []
-    for x in subsets(sorted(c), include_empty=False, budget=budget):
+    for x in subset_masks(inside, False, budget):
         best: int | None = None
-        best_y: frozenset[int] = x
+        best_y = x
         for y in closed_extensions(f, outside, x, budget, closed):
-            val = h(y) - in_degree(f, y)
+            val = h(mask_vertices(y)) - in_degree_mask(f, y)
             if best is None or val > best:
                 best, best_y = val, y
-        table[x] = (best, best_y)
-    return H2Witness(c, p, table)
+        table[mask_vertices(x)] = (best, mask_vertices(best_y))
+    return H2Witness(c, mask_vertices(p), table)
 
 
 def mixed_orient(f: MixedHypergraph, h: SetFunctionOracle,

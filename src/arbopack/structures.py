@@ -6,10 +6,16 @@ a head outside it).  Digraphs, mixed graphs, graphs and dypergraphs are the
 obvious restrictions.  Traversal semantics: a hyperedge can be walked
 between any two of its vertices, a dyperedge only from a tail to its head.
 
-Everything here is immutable and pure; derived data (reachability, strongly
-connected components) is memoized on the instance.  The ``memo`` decorator
-gives the set-function, g-polymatroid and matroid oracles their per-instance
-caches.  ``check_inputs`` validates what an ``Instance`` gives a reader.
+Everything here is immutable and pure.  Inside the core a vertex set is a
+bit mask (bit v for vertex v): each structure builds its element masks
+once, and the entering rule, reachability and the subset and subpartition
+enumerations work on masks.  Frozensets stay at the boundary: ``Instance``
+fields, witness payloads and the frozenset wrappers ``in_degree``,
+``entering_count``, ``reach_to``, ``subsets`` and ``subpartitions``.
+Derived data (reachability, strongly connected components) is memoized on
+the instance.  The ``memo`` decorator gives the set-function, g-polymatroid
+and matroid oracles their per-instance caches.  ``check_inputs`` validates
+what an ``Instance`` gives a reader.
 """
 from __future__ import annotations
 
@@ -139,13 +145,21 @@ class MixedHypergraph:
     hyperedges: tuple of frozensets, each of size >= 2
     dyperedges: tuple of (tails, head) with head not in tails, tails nonempty
 
-    Parallel elements are allowed and keep distinct indices.
+    Parallel elements are allowed and keep distinct indices.  Built once
+    from these: hyperedge_masks (a vertex mask per hyperedge),
+    dyperedge_masks (a (tail mask, head bit) pair per dyperedge) and
+    tails_into (a (head bit, tail masks) pair per vertex that some
+    dyperedge enters, by increasing vertex).
     """
 
     n: int
     hyperedges: tuple[frozenset[int], ...] = ()
     dyperedges: tuple[Dyperedge, ...] = ()
     _cache: dict = field(default_factory=dict, repr=False, compare=False, hash=False)
+    hyperedge_masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    dyperedge_masks: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
+    tails_into: tuple[tuple[int, tuple[int, ...]], ...] = field(init=False, repr=False,
+                                                               compare=False)
 
     def __post_init__(self):
         if self.n < 0:
@@ -166,6 +180,13 @@ class MixedHypergraph:
                 raise ValueError(f"dyperedge head {head} contained in its tails")
             if not all(0 <= v < self.n for v in tails) or not 0 <= head < self.n:
                 raise ValueError("dyperedge out of range")
+        dmasks = tuple((vertex_mask(tails), 1 << head) for tails, head in ds)
+        into: dict[int, list[int]] = {}
+        for tails, head in sorted(dmasks, key=lambda d: d[1]):
+            into.setdefault(head, []).append(tails)
+        object.__setattr__(self, "hyperedge_masks", tuple(vertex_mask(e) for e in hs))
+        object.__setattr__(self, "dyperedge_masks", dmasks)
+        object.__setattr__(self, "tails_into", tuple((bit, tuple(ts)) for bit, ts in into.items()))
 
     @property
     def vertices(self) -> frozenset[int]:
@@ -255,6 +276,20 @@ def _reach_from_single(f: MixedHypergraph) -> tuple[frozenset[int], ...]:
     return result
 
 
+def _reach_to_single(f: MixedHypergraph) -> tuple[int, ...]:
+    """Per vertex, the mask of the vertices that reach it, memoized."""
+    cached = f._cache.get("reach_to1")
+    if cached is not None:
+        return cached
+    into = [0] * f.n
+    for u, reached in enumerate(_reach_from_single(f)):
+        for v in reached:
+            into[v] |= 1 << u
+    result = tuple(into)
+    f._cache["reach_to1"] = result
+    return result
+
+
 def reach_from(f: MixedHypergraph, x: Iterable[int]) -> frozenset[int]:
     """Vertices reachable from at least one vertex of x (x included)."""
     rf = _reach_from_single(f)
@@ -264,11 +299,21 @@ def reach_from(f: MixedHypergraph, x: Iterable[int]) -> frozenset[int]:
     return out
 
 
+def reach_to_mask(f: MixedHypergraph, x: int) -> int:
+    """Mask of the vertices from which some vertex of mask x is reachable
+    (x included)."""
+    into = _reach_to_single(f)
+    out = 0
+    while x:
+        low = x & -x
+        out |= into[low.bit_length() - 1]
+        x ^= low
+    return out
+
+
 def reach_to(f: MixedHypergraph, x: Iterable[int]) -> frozenset[int]:
     """Vertices from which at least one vertex of x is reachable (x included)."""
-    xs = frozenset(x)
-    rf = _reach_from_single(f)
-    return frozenset(u for u in range(f.n) if rf[u] & xs)
+    return mask_vertices(reach_to_mask(f, vertex_mask(x)))
 
 
 def scc_condense(f: MixedHypergraph) -> tuple[frozenset[int], ...]:
@@ -303,34 +348,61 @@ def scc_condense(f: MixedHypergraph) -> tuple[frozenset[int], ...]:
 # ---------------------------------------------------------------------------
 # entering and counting
 
-def hyperedge_enters(e: frozenset[int], y: frozenset[int]) -> bool:
-    """A hyperedge enters y iff it meets both y and its own part outside y."""
-    return bool(e & y) and bool(e - y)
+def in_degree_mask(f: MixedHypergraph, x: int, at: int = -1) -> int:
+    """Number of dyperedges entering the vertex mask x, counting only those
+    with their head in the mask at when it is given.  A dyperedge enters x
+    iff its head is in x and some tail is outside x."""
+    at &= x
+    out = ~x
+    total = 0
+    for head, tails in f.tails_into:
+        if at & head:
+            for t in tails:
+                if t & out:
+                    total += 1
+    return total
 
 
-def dyperedge_enters(d: Dyperedge, y: frozenset[int]) -> bool:
-    """A dyperedge enters y iff its head is in y and some tail is outside."""
-    tails, head = d
-    return head in y and bool(tails - y)
+def entering_mask(f: MixedHypergraph, parts: Sequence[int]) -> int:
+    """Number of elements entering at least one of the vertex masks in
+    parts, each element counted once.
+
+    A hyperedge enters y iff it meets both y and its own part outside y.
+    A dyperedge enters some part iff it enters the intersection of the
+    parts holding its head, so pairwise disjoint parts add their
+    in-degrees, and overlapping ones are grouped by that intersection."""
+    total = 0
+    for e in f.hyperedge_masks:
+        for y in parts:
+            if e & y and e & ~y:
+                total += 1
+                break
+    union = 0
+    overlap = False
+    for y in parts:
+        overlap = overlap or bool(union & y)
+        union |= y
+    if not overlap:
+        return total + sum(in_degree_mask(f, y) for y in parts)
+    heads_by_inside: dict[int, int] = {}
+    for v in mask_bits(union):
+        inside = -1
+        for y in parts:
+            if y >> v & 1:
+                inside &= y
+        heads_by_inside[inside] = heads_by_inside.get(inside, 0) | 1 << v
+    return total + sum(in_degree_mask(f, inside, at) for inside, at in heads_by_inside.items())
 
 
-def in_degree(f: MixedHypergraph, x: frozenset[int]) -> int:
+def in_degree(f: MixedHypergraph, x: Iterable[int]) -> int:
     """Number of dyperedges entering x."""
-    return sum(1 for d in f.dyperedges if dyperedge_enters(d, x))
+    return in_degree_mask(f, vertex_mask(x))
 
 
-def entering_count(f: MixedHypergraph, parts: Iterable[frozenset[int]]) -> int:
+def entering_count(f: MixedHypergraph, parts: Iterable[Iterable[int]]) -> int:
     """Number of elements (hyperedges or dyperedges) entering at least one
     of the given sets, each element counted once."""
-    ps = list(parts)
-    total = 0
-    for e in f.hyperedges:
-        if any(hyperedge_enters(e, y) for y in ps):
-            total += 1
-    for d in f.dyperedges:
-        if any(dyperedge_enters(d, y) for y in ps):
-            total += 1
-    return total
+    return entering_mask(f, [vertex_mask(y) for y in parts])
 
 
 # ---------------------------------------------------------------------------
@@ -345,11 +417,15 @@ class RootMultiset:
     """
 
     counts: tuple[int, ...]
+    # (vertex bit, count) per vertex with roots, for size_of
+    weights: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "counts", tuple(int(c) for c in self.counts))
         if any(c < 0 for c in self.counts):
             raise ValueError("root multiplicities must be nonnegative")
+        object.__setattr__(self, "weights", tuple(
+            (1 << v, c) for v, c in enumerate(self.counts) if c))
 
     @classmethod
     def from_pairs(cls, n: int, pairs: Iterable[tuple[int, int]]) -> "RootMultiset":
@@ -377,8 +453,9 @@ class RootMultiset:
         xs = set(x)
         return tuple(c for c in self.copies() if c[0] in xs)
 
-    def size_of(self, x: Iterable[int]) -> int:
-        return sum(self.counts[v] for v in x)
+    def size_of(self, x: int) -> int:
+        """Number of root copies on the vertex mask x."""
+        return sum(c for bit, c in self.weights if x & bit)
 
     def support(self) -> frozenset[int]:
         return frozenset(v for v, c in enumerate(self.counts) if c)
@@ -412,11 +489,13 @@ class Bounds:
     def g_k(self, v: int) -> int:
         return min(self.k, self.g[v])
 
-    def g_k_sum(self, x: Iterable[int]) -> int:
-        return sum(min(self.k, self.g[v]) for v in x)
+    def g_k_sum(self, x: int) -> int:
+        """Sum of min(k, g(v)) over the vertex mask x."""
+        return sum(min(self.k, self.g[v]) for v in mask_bits(x))
 
-    def f_sum(self, x: Iterable[int]) -> int:
-        return sum(self.f[v] for v in x)
+    def f_sum(self, x: int) -> int:
+        """Sum of f(v) over the vertex mask x."""
+        return mask_sum(self.f, x)
 
 
 @dataclass(frozen=True)
@@ -491,20 +570,94 @@ def subsets(
             yield frozenset(combo)
 
 
-def subset_masks(n: int, budget: Budget | None = None) -> Iterator[int]:
-    """The subsets of n items as bit masks (bit i for item i), in the order
-    of subsets(): by increasing size, then lexicographic."""
-    bits = [1 << i for i in range(n)]
-    for r in range(n + 1):
+def subset_masks(bits: Sequence[int], include_empty: bool = True,
+                 budget: Budget | None = None) -> Iterator[int]:
+    """The subsets of the items with the given bits, as masks, in the order
+    of subsets(): by increasing size, then lexicographic in bits order."""
+    for r in range(0 if include_empty else 1, len(bits) + 1):
         for combo in itertools.combinations(bits, r):
             if budget is not None:
                 budget.spend()
             yield sum(combo)
 
 
+def low_bits(n: int) -> list[int]:
+    """The bits of items 0..n-1."""
+    return [1 << i for i in range(n)]
+
+
+def vertex_mask(vs: Iterable[int]) -> int:
+    """Bit mask of a vertex set (bit v for vertex v)."""
+    mask = 0
+    for v in vs:
+        mask |= 1 << v
+    return mask
+
+
+def mask_bits(mask: int) -> list[int]:
+    """Indices of the bits set in mask, increasing."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def mask_vertices(mask: int) -> frozenset[int]:
+    """The vertex set of a mask."""
+    return frozenset(mask_bits(mask))
+
+
+def mask_sum(weights: Sequence[int], mask: int) -> int:
+    """Sum of weights[v] over the vertices v of mask."""
+    total = 0
+    while mask:
+        low = mask & -mask
+        total += weights[low.bit_length() - 1]
+        mask ^= low
+    return total
+
+
 def mask_items(items: Sequence, mask: int) -> frozenset:
     """The items whose bits are set in mask (bit i for items[i])."""
     return frozenset(x for i, x in enumerate(items) if mask >> i & 1)
+
+
+def partition_masks(bits: Sequence[int], budget: Budget | None = None
+                    ) -> Iterator[tuple[int, ...]]:
+    """All partitions of the items with the given bits into nonempty
+    blocks, as tuples of block masks, in restricted growth string order:
+    item i joins each open block in turn, then opens a new one.  Blocks
+    are ordered by first appearance; one budget step per partition."""
+    n = len(bits)
+    blocks: list[int] = []
+
+    def place(i: int) -> Iterator[tuple[int, ...]]:
+        if i == n:
+            if budget is not None:
+                budget.spend()
+            yield tuple(blocks)
+            return
+        bit = bits[i]
+        for j in range(len(blocks)):
+            blocks[j] |= bit
+            yield from place(i + 1)
+            blocks[j] ^= bit
+        blocks.append(bit)
+        yield from place(i + 1)
+        blocks.pop()
+
+    return place(0)
+
+
+def subpartition_masks(bits: Sequence[int], budget: Budget | None = None
+                       ) -> Iterator[tuple[int, ...]]:
+    """All subpartitions of the items with the given bits, as tuples of
+    block masks: the partitions of each subset in subset_masks() order,
+    the empty one first; one budget step per subpartition."""
+    for support in subset_masks(bits):
+        yield from partition_masks([b for b in bits if support & b], budget)
 
 
 def set_partitions(
@@ -513,36 +666,8 @@ def set_partitions(
     """All partitions of the items into nonempty blocks, in restricted
     growth string order.  Blocks are ordered by first appearance."""
     pool = list(items)
-    if not pool:
-        if budget is not None:
-            budget.spend()
-        yield ()
-        return
-    n = len(pool)
-    rgs = [0] * n
-
-    def emit():
-        nblocks = max(rgs) + 1
-        blocks = [[] for _ in range(nblocks)]
-        for i, b in enumerate(rgs):
-            blocks[b].append(pool[i])
-        return tuple(frozenset(b) for b in blocks)
-
-    while True:
-        if budget is not None:
-            budget.spend()
-        yield emit()
-        # advance the restricted growth string
-        i = n - 1
-        while i > 0:
-            if rgs[i] <= max(rgs[:i]):
-                rgs[i] += 1
-                for j in range(i + 1, n):
-                    rgs[j] = 0
-                break
-            i -= 1
-        else:
-            return
+    for blocks in partition_masks(low_bits(len(pool)), budget):
+        yield tuple(mask_items(pool, b) for b in blocks)
 
 
 def subpartitions(
@@ -550,7 +675,5 @@ def subpartitions(
 ) -> Iterator[tuple[frozenset, ...]]:
     """All subpartitions: every partition of every subset, empty one first."""
     pool = list(items)
-    for support in subsets(pool, include_empty=True):
-        ordered = [x for x in pool if x in support]
-        for part in set_partitions(ordered, budget=budget):
-            yield part
+    for blocks in subpartition_masks(low_bits(len(pool)), budget):
+        yield tuple(mask_items(pool, b) for b in blocks)

@@ -6,6 +6,7 @@ import pytest
 
 from arbopack import (
     Bounds,
+    Budget,
     CapExceededError,
     ConditionId,
     FreeMatroid,
@@ -212,13 +213,13 @@ class TestBoundedConditions:
 
         class CountingBounds(Bounds):
             def g_k_sum(self, x):
-                calls.append(tuple(x))
+                calls.append(x)
                 return super().g_k_sum(x)
 
         graph = mh(3, [{0, 1}], [({0}, 1), ({1}, 2), ({2}, 0)])
         b = CountingBounds(f=(0, 0, 0), g=(1, 1, 1), k=1, l=1, lprime=1)
         assert evaluate(ConditionId.LEMMA1B, Instance(graph=graph, bounds=b)).holds
-        assert calls == [(0, 1, 2)]
+        assert calls == [0b111]  # the vertex mask of {0, 1, 2}
 
     def test_fkk_all_roots_same_vertex(self):
         arcs = [({0}, 1), ({0}, 1)]
@@ -329,6 +330,53 @@ class TestWitnessReViolation:
             witness_violates("frank_cai", inst, Witness("subset", (frozenset({0}),)))
 
 
+class TestMalformedWitnesses:
+    """A subset or subpartition payload its sweep could not have produced
+    is rejected, not read as some other set."""
+
+    def path(self, counts=(1, 0, 1)):
+        return inst_d(3, [({0}, 1), ({1}, 2)], counts)
+
+    def test_negative_vertex_rejected(self):
+        # -1 once read the root count of vertex 2
+        with pytest.raises(ValueError):
+            witness_violates("edmonds", self.path(), Witness("subset", (frozenset({-1}),)))
+
+    def test_vertex_beyond_range_rejected(self):
+        with pytest.raises(ValueError):
+            witness_violates("edmonds", self.path(), Witness("subset", (frozenset({5}),)))
+
+    def test_empty_set_rejected_by_nonempty_sweep(self):
+        with pytest.raises(ValueError):
+            witness_violates("edmonds", self.path(), Witness("subset", (frozenset(),)))
+        # kkt sweeps the empty set too, so there it is a valid member
+        assert witness_violates("kkt", self.path(), Witness("subset", (frozenset(),))) is False
+
+    def test_root_vertex_rejected_by_non_root_sweep(self):
+        inst = self.path((2, 0, 0))
+        with pytest.raises(ValueError):
+            witness_violates("fkk", inst, Witness("subset", (frozenset({0, 1}),)))
+        assert witness_violates("fkk", inst, Witness("subset", (frozenset({1}),)))
+
+    def test_member_must_be_one_vertex_set(self):
+        for payload in ((5,), ("ab",), (), (frozenset({1}), frozenset({2}))):
+            with pytest.raises(ValueError):
+                witness_violates("edmonds", self.path(), Witness("subset", payload))
+
+    def test_overlapping_parts_rejected(self):
+        inst = Instance(graph=mh(3, [{0, 1}], []), roots=RootMultiset((1, 0, 1)))
+        parts = (frozenset({1}), frozenset({1, 2}))
+        with pytest.raises(ValueError):
+            witness_violates("frank_mixed", inst, Witness("subpartition", (parts,)))
+
+    def test_empty_part_rejected(self):
+        inst = Instance(graph=mh(3, [{0, 1}], []), roots=RootMultiset((1, 0, 1)))
+        with pytest.raises(ValueError):
+            witness_violates("frank_mixed", inst,
+                             Witness("subpartition", ((frozenset({1}), frozenset()),)))
+        assert witness_violates("frank_mixed", inst, Witness("subpartition", ((),))) is False
+
+
 class TestSccProjection:
     def test_empty_set(self):
         f = mh(2, [], [({0}, 1)])
@@ -385,6 +433,89 @@ class TestSccProjection:
             )
             rhs = m.rank(roots.restrict(reach_to(f, x))) - m.rank(roots.restrict(x))
             assert lhs >= rhs
+
+
+def circulant(vs, reach, tails=1):
+    """Each vs[i] is entered from the reach vertices before it (cyclically),
+    by dyperedges with tails consecutive tails each."""
+    k = len(vs)
+    return [(frozenset(vs[(i - s - t) % k] for t in range(tails)), vs[i])
+            for i in range(k) for s in range(1, reach + 1)]
+
+
+def two_blocks(n, tails=1):
+    """Two circulants on the lower and upper halves, the upper half entered
+    by one arc only, so it is the only set entered fewer than twice."""
+    w, x = list(range(n // 2)), list(range(n // 2, n))
+    return (circulant(w, 2, tails) + circulant(x, 2, tails)
+            + [(frozenset({w[0]}), x[0])] + [(frozenset({x[i]}), w[i]) for i in range(2)])
+
+
+def pinned_instance(cond, holds):
+    """A holding or failing instance of a benchmarked condition: 12
+    vertices for the subset sweeps, 7 for the subpartition sweeps."""
+    if cond in ("edmonds", "cor1", "fkk", "dgns", "kiraly"):
+        n, tails = 12, 2 if cond in ("cor1", "fkk") else 1
+        graph = MixedHypergraph(n, (), circulant(range(n), 2, tails) if holds
+                                else two_blocks(n, tails))
+        if cond in ("dgns", "kiraly"):
+            roots = RootMultiset((2, 0, 0, 1) + (0,) * (n - 4))
+            return Instance(graph=graph, roots=roots,
+                            matroid=UniformMatroid(roots.copies(), 2))
+        return Instance(graph=graph, roots=RootMultiset((2,) + (0,) * (n - 1)),
+                        bounds=Bounds(k=2))
+    n = 7
+    if cond == "frank_mixed":
+        edges = [frozenset({u, v}) for u in range(n) for v in range(u + 1, n)
+                 if (u < 3) == (v < 3)] * 2 + [frozenset({1, 4})]
+        graph = MixedHypergraph(n, edges, [(frozenset({2}), 5)] if holds else [])
+        return Instance(graph=graph, roots=RootMultiset((2,) + (0,) * (n - 1)))
+    graph = MixedHypergraph(n, [frozenset({v, (v + 1) % n, (v + 3) % n}) for v in range(n)],
+                            circulant(range(n), 1))
+    bounds = Bounds(f=(0,) * n, g=(1,) * n, k=2 if holds else 3, l=1, lprime=3)
+    return Instance(graph=graph, bounds=bounds)
+
+
+UPPER = (frozenset(range(6, 12)),)
+# (condition, holds) -> Budget steps, then the witness payload, lhs and rhs
+PINNED_SWEEPS = {
+    ("edmonds", True): (4095, None),
+    ("edmonds", False): (2509, (UPPER, 1, 2)),
+    ("cor1", True): (4095, None),
+    ("cor1", False): (2509, (UPPER, 1, 2)),
+    ("fkk", True): (2047, None),
+    ("fkk", False): (1485, (UPPER, 1, 2)),
+    ("dgns", True): (4095, None),
+    ("dgns", False): (2509, (UPPER, 1, 2)),
+    ("kiraly", True): (4096, None),
+    ("kiraly", False): (2510, (UPPER, 1, 2)),
+    ("frank_mixed", True): (4140, None),
+    ("frank_mixed", False): (736, (((frozenset({3, 4, 5, 6}),),), 1, 2)),
+    ("main", True): (4140, None),
+    ("main", False): (2045, ((tuple(frozenset({v}) for v in range(6)),), 13, 15)),
+}
+
+
+class TestPinnedSweeps:
+    """Budget steps and first witnesses of the benchmarked sweeps: the
+    visiting order is part of the contract, so a faster sweep must spend
+    the same steps and stop at the same member."""
+
+    @pytest.mark.parametrize("cond,holds", sorted(PINNED_SWEEPS),
+                             ids=lambda v: str(v).lower())
+    def test_steps_and_first_witness(self, cond, holds):
+        inst = pinned_instance(cond, holds)
+        budget = Budget(10**6)
+        verdict = evaluate(cond, inst, budget)
+        steps, witness = PINNED_SWEEPS[cond, holds]
+        assert verdict.holds is holds
+        assert 10**6 - budget.remaining == steps
+        if witness is None:
+            assert verdict.witness is None
+        else:
+            got = verdict.witness
+            assert (got.payload, got.lhs, got.rhs) == witness
+            assert witness_violates(cond, inst, got)
 
 
 class TestInputValidation:

@@ -150,6 +150,42 @@ class TestSchemaErrors:
                                     roots={"a": 1}))
 
 
+MALFORMED = {
+    "hyperedges-not-list": {"hyperedges": 5},
+    "dyperedges-not-list": {"dyperedges": {"tails": ["a"], "head": "b"}},
+    "tails-not-list": {"dyperedges": [{"tails": 5, "head": "b"}]},
+    "tails-string": {"dyperedges": [{"tails": "ac", "head": "b"}]},
+    "root-count-true": {"roots": {"a": True}},
+    "bound-k-true": {"bounds": {"f": 0, "g": 1, "k": True}},
+    "bound-scalar-false": {"bounds": {"f": False, "g": 1, "k": 1}},
+    "bound-map-true": {"bounds": {"f": 0, "g": {"a": True}, "k": 1}},
+}
+
+
+class TestMalformedDocuments:
+    """Wrongly typed fields are schema errors: exit 2 with an error line,
+    never a traceback, and never read as some other value."""
+
+    @staticmethod
+    def doc(extra):
+        """A digraph edmonds accepts, with one field replaced."""
+        return {"schema_version": SCHEMA_VERSION, "vertices": ["a", "b", "c"],
+                "dyperedges": [{"tails": ["a"], "head": "b"}], "roots": {"a": 1}, **extra}
+
+    @pytest.mark.parametrize("extra", MALFORMED.values(), ids=MALFORMED.keys())
+    def test_schema_error(self, extra):
+        with pytest.raises(SchemaError):
+            parse_instance(self.doc(extra))
+
+    @pytest.mark.parametrize("extra", MALFORMED.values(), ids=MALFORMED.keys())
+    def test_cli_exits_2(self, extra, tmp_path, capsys):
+        path = tmp_path / "i.json"
+        path.write_text(json.dumps(self.doc(extra)))
+        assert main(["check", "--theorem", "edmonds", "--instance", str(path)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+
 class TestPackingDocs:
     def test_round_trip(self):
         doc = base_doc(roots={"a": 1})

@@ -17,7 +17,6 @@ from arbopack import (
     check_intersecting_supermodular,
     check_mixed_cover,
     compute_h2,
-    entering_count,
     evaluate,
     frank_orient,
     mixed_orient,
@@ -29,6 +28,7 @@ from arbopack import (
     Verdict,
 )
 from arbopack import conditions
+from arbopack.structures import entering_mask, vertex_mask
 from arbopack.fuzz import _random_matroid, _random_roots
 
 from conftest import mh
@@ -149,13 +149,13 @@ class TestComputeH2:
         def counting(graph, parts):
             parts = tuple(parts)
             asked.append(parts)
-            return entering_count(graph, parts)
+            return entering_mask(graph, parts)
 
-        monkeypatch.setattr(conditions, "entering_count", counting)
+        monkeypatch.setattr(conditions, "entering_mask", counting)
         budget = Budget(1_000)
         w = compute_h2(f, table_h(6, {}), frozenset({0, 1, 2}), budget)
         assert len(asked) == 8
-        assert set(asked) == {(x,) for x in subsets([3, 4, 5])}
+        assert set(asked) == {(vertex_mask(x),) for x in subsets([3, 4, 5])}
         assert 1_000 - budget.remaining == 7 + 7 * 8
         assert w.table[frozenset({0, 1, 2})] == (0, frozenset(range(6)))
         assert w.table[frozenset({0})] == (-1, frozenset({0, 3, 4, 5}))

@@ -67,4 +67,5 @@ def _unused_imports(path: Path) -> list[str]:
 def test_every_import_is_used():
     paths = [p for p in sorted((ROOT / "src" / "arbopack").glob("*.py")) if p.name != "__init__.py"]
     paths += sorted((ROOT / "tests").glob("*.py"))
+    paths += sorted((ROOT / "perfbench").glob("*.py"))
     assert [bad for p in paths for bad in _unused_imports(p)] == []

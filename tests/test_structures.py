@@ -32,9 +32,17 @@ from arbopack import (
     subsets,
     t_contains,
 )
-from arbopack.structures import memo
+from arbopack.structures import (
+    entering_mask,
+    in_degree_mask,
+    mask_vertices,
+    memo,
+    reach_to_mask,
+    subpartition_masks,
+    vertex_mask,
+)
 
-from conftest import arc, mh
+from conftest import all_mixed_hypergraphs, arc, mh
 
 
 def small_graphs():
@@ -221,6 +229,62 @@ class TestEnteringCounts:
         assert entering_count(f, parts) == 2
 
 
+def enters_ref(element, y):
+    """The entering rule on frozensets: a hyperedge enters y when it meets
+    y and leaves it, a dyperedge when its head is in y and a tail is not."""
+    if isinstance(element, frozenset):
+        return bool(element & y) and bool(element - y)
+    tails, head = element
+    return head in y and bool(tails - y)
+
+
+def reach_to_ref(f, x):
+    """Vertices with a walk into x: hyperedges both ways, dyperedges from
+    any tail to the head."""
+    back = set(x)
+    grown = True
+    while grown:
+        grown = False
+        for u in range(f.n):
+            steps = [e - {u} for e in f.hyperedges if u in e]
+            steps += [{head} for tails, head in f.dyperedges if u in tails]
+            if u not in back and any(s & back for s in steps):
+                back.add(u)
+                grown = True
+    return frozenset(back)
+
+
+class TestMaskForms:
+    def test_match_set_definitions_on_grid(self):
+        """On every mixed hypergraph with n <= 3 and at most 3 elements:
+        in_degree and reach_to on every subset, entering_count on every
+        subpartition and on every pair of (possibly overlapping) subsets,
+        each in mask form and through its frozenset wrapper."""
+        graphs = 0
+        for f in all_mixed_hypergraphs(3, 3):
+            graphs += 1
+            sets = list(subsets(range(f.n)))
+            families = list(subpartitions(range(f.n))) + [(x, y) for x in sets for y in sets]
+            for x in sets:
+                want = sum(enters_ref(d, x) for d in f.dyperedges)
+                assert in_degree_mask(f, vertex_mask(x)) == in_degree(f, x) == want
+                want = reach_to_ref(f, x)
+                assert mask_vertices(reach_to_mask(f, vertex_mask(x))) == reach_to(f, x) == want
+            for parts in families:
+                want = sum(any(enters_ref(e, y) for y in parts)
+                           for e in f.hyperedges + f.dyperedges)
+                masks = [vertex_mask(y) for y in parts]
+                assert entering_mask(f, masks) == entering_count(f, parts) == want
+        assert graphs == 581
+
+    def test_subpartition_masks_in_subpartitions_order(self):
+        for n in range(5):
+            got = [tuple(mask_vertices(y) for y in parts)
+                   for parts in subpartition_masks([1 << v for v in range(n)])]
+            assert got == list(subpartitions(range(n)))
+            assert len(got) == [1, 2, 5, 15, 52][n]  # Bell(n + 1)
+
+
 class TestInducedSubgraph:
     def test_keeps_inside_elements_only(self):
         f = mh(3, [{0, 1}, {1, 2}], [({0}, 1), ({2}, 1)])
@@ -277,7 +341,7 @@ class TestRootMultiset:
         s = RootMultiset((2, 0, 1))
         assert s.copies() == ((0, 0), (0, 1), (2, 0))
         assert s.size() == 3
-        assert s.size_of({0, 1}) == 2
+        assert s.size_of(0b011) == 2  # vertices 0 and 1
         assert s.support() == frozenset({0, 2})
 
     def test_restrict_keeps_copy_identity(self):
