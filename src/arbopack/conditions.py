@@ -85,24 +85,6 @@ def _need(inst: Instance, cond: ConditionId) -> Condition:
     return rec
 
 
-def _root_rank(inst: Instance) -> Callable[[int], int]:
-    """The matroid rank of the root copies on a vertex mask, cached for one
-    evaluation per trace of the mask on the roots' support: the rank reads
-    only those copies, and no matroid rank spends budget."""
-    s, m = inst.roots, inst.matroid
-    support = vertex_mask(s.support())
-    table: dict[int, int] = {}
-
-    def rank(x: int) -> int:
-        key = x & support
-        got = table.get(key)
-        if got is None:
-            got = table[key] = m.rank(s.restrict(mask_bits(key)))
-        return got
-
-    return rank
-
-
 # ---------------------------------------------------------------------------
 # quantifiers: each sweep walks its ground in a fixed order, calls the value
 # closure once per member and returns the first member with lhs < rhs
@@ -163,16 +145,18 @@ def _subset_quantifier(pool, include_empty: bool, what: str = "a vertex") -> Qua
         [1 << v for v in pool(inst)], include_empty, budget), mask_vertices, back)
 
 
-def _read_subpartition(inst: Instance, parts) -> tuple[int, ...]:
-    """The masks of a witness subpartition's parts, nonempty and disjoint."""
+def _read_parts(inst: Instance, parts, allowed: int = -1, what: str = "a vertex",
+                trace: int = -1) -> tuple[int, ...]:
+    """The masks of a tuple of witness vertex sets, each vertex in allowed,
+    whose traces on the mask trace are nonempty and pairwise disjoint."""
     if not isinstance(parts, (tuple, list)):
         raise ValueError(f"witness member {parts!r} is not a tuple of parts")
-    masks = tuple(_read_mask(inst, y, -1, "a vertex") for y in parts)
+    masks = tuple(_read_mask(inst, y, allowed, what) for y in parts)
     seen = 0
     for y in masks:
-        if not y or y & seen:
-            raise ValueError("witness parts must be nonempty and pairwise disjoint")
-        seen |= y
+        if not y & trace or y & trace & seen:
+            raise ValueError("witness parts must have nonempty, pairwise disjoint traces")
+        seen |= y & trace
     return masks
 
 
@@ -253,9 +237,17 @@ def _family_sweep(families) -> Quantifier:
         return HOLDS
 
     def args(inst, payload) -> tuple:
+        """The closure and the family of a payload the sweep could produce."""
         c, family = payload
-        return (reach_to_mask(inst.graph, vertex_mask(c)),
-                tuple(vertex_mask(z) for z in family))
+        f = inst.graph
+        inside = _read_mask(inst, c, -1, "a vertex")
+        if inside not in map(vertex_mask, scc_condense(f)):
+            raise ValueError("witness component is not a strongly connected component")
+        p = reach_to_mask(f, inside)
+        family = _read_parts(inst, family, p, "in the component's closure", inside)
+        if any(entering_mask(f, (z & ~inside,)) for z in family):
+            raise ValueError("witness member has something entering it outside the component")
+        return p, family
 
     return Quantifier("component_family", sweep, args)
 
@@ -269,7 +261,7 @@ _NON_ROOT_SUBSETS = _subset_quantifier(
     "a vertex without roots")
 _SUBPARTITIONS = _quantifier(
     "subpartition", lambda inst, budget: subpartition_masks(low_bits(inst.graph.n), budget),
-    lambda parts: tuple(mask_vertices(y) for y in parts), _read_subpartition)
+    lambda parts: tuple(mask_vertices(y) for y in parts), _read_parts)
 _COMPONENT_FAMILIES = _family_sweep(_iter_component_families)
 _COMPONENT_SUBSETS = _family_sweep(_iter_component_subsets)
 # the rank sweep of T's emptiness test names its own inequalities and notes
@@ -319,13 +311,13 @@ def _kkt(inst):
 
 
 def _dgns(inst):
-    f, rank = inst.graph, _root_rank(inst)
+    f, rank = inst.graph, inst.roots.ranker(inst.matroid)
     full = rank((1 << f.n) - 1)
     return lambda x: (in_degree_mask(f, x), full - rank(x))
 
 
 def _kiraly(inst):
-    f, rank = inst.graph, _root_rank(inst)
+    f, rank = inst.graph, inst.roots.ranker(inst.matroid)
     return lambda x: (in_degree_mask(f, x), rank(reach_to_mask(f, x)) - rank(x))
 
 
@@ -340,22 +332,17 @@ def _mt(inst):
 
 
 def _gy(inst):
-    rank = _root_rank(inst)
+    rank = inst.roots.ranker(inst.matroid)
     return _family(inst.graph, lambda p, z: rank(p) - rank(z))
 
 
-def _h_of_mask(inst):
-    """inst.h on vertex masks, cached for one evaluation."""
-    return functools.cache(lambda y: inst.h(mask_vertices(y)))
-
-
 def _frank_orient(inst):
-    f, h = inst.graph, _h_of_mask(inst)
+    f, h = inst.graph, inst.h.at
     return lambda parts: (entering_mask(f, parts), sum(h(y) for y in parts))
 
 
 def _new_orient(inst):
-    h = _h_of_mask(inst)
+    h = inst.h.at
     return _family(inst.graph, lambda p, z: h(z) - h(p))
 
 

@@ -10,7 +10,6 @@ packing, which is what the feasibility and integer point routines exploit.
 """
 from __future__ import annotations
 
-import functools
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 
@@ -69,23 +68,19 @@ class Plank:
 
 def check_axioms(q: GPoly | TPolyhedron, cap: int | Budget | None = None) -> Verdict:
     """Exhaustive check that (p, b) is a strong pair: zero on the empty set,
-    p supermodular, b submodular, and b(X)-p(Y) >= b(X-Y)-p(Y-X), with p
-    and b read through tables kept for this check."""
+    p supermodular, b submodular, and b(X)-p(Y) >= b(X-Y)-p(Y-X)."""
     budget = as_budget(cap)
-    p, b = functools.cache(q.p), functools.cache(q.b)
-    if p(frozenset()) != 0:
-        return Verdict(False, Witness("subset", (frozenset(),), p(frozenset()), 0,
-                                      "lower function nonzero on the empty set"))
-    if b(frozenset()) != 0:
-        return Verdict(False, Witness("subset", (frozenset(),), b(frozenset()), 0,
-                                      "upper function nonzero on the empty set"))
-    bad = check_supermodular(p, q.ground, budget)
+    for fn, which in ((q.p, "lower"), (q.b, "upper")):
+        if fn(frozenset()) != 0:
+            return Verdict(False, Witness("subset", (frozenset(),), fn(frozenset()), 0,
+                                          f"{which} function nonzero on the empty set"))
+    bad = check_supermodular(q.p, q.ground, budget)
     if bad:
         return Verdict(False, Witness("pair", bad, note="lower function not supermodular"))
-    bad = check_submodular(b, q.ground, budget)
+    bad = check_submodular(q.b, q.ground, budget)
     if bad:
         return Verdict(False, Witness("pair", bad, note="upper function not submodular"))
-    bad = check_cross_inequality(p, b, q.ground, budget)
+    bad = check_cross_inequality(q.p, q.b, q.ground, budget)
     if bad:
         return Verdict(False, Witness("pair", bad, note="cross-inequality fails"))
     return HOLDS

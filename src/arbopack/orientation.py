@@ -9,10 +9,13 @@ through the lifted function h2.  Both check their feasibility condition
 first and return the violating certificate instead of searching when it
 fails; both verify h's declared supermodularity eagerly on small vertex
 sets and trust the declaration above that.
+Inside, vertex sets are bit masks and h is read by mask (``h.at``);
+witnesses and the lifted table of ``compute_h2`` carry frozensets.
 """
 from __future__ import annotations
 
 import itertools
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .conditions import ConditionId, Instance, closed_extensions, component_masks, evaluate
@@ -25,17 +28,15 @@ from .structures import (
     Verdict,
     Witness,
     as_budget,
-    entering_count,
     entering_mask,
-    in_degree,
     in_degree_mask,
     induced_subgraph,
+    low_bits,
     mask_vertices,
     orient_all,
-    reach_to,
+    reach_to_mask,
     scc_condense,
     subset_masks,
-    subsets,
     vertex_mask,
 )
 
@@ -70,33 +71,32 @@ def orientation_space(f: MixedHypergraph):
     return itertools.product(*(sorted(e) for e in f.hyperedges))
 
 
+def _cover(f: MixedHypergraph, o: Orientation, cap: int | Budget | None, include_empty: bool,
+           demand: Callable[[int], int], note: str) -> Verdict:
+    """Does the orientation give every vertex mask x (nonempty ones only
+    unless include_empty) at least demand(x) entering elements?"""
+    budget = as_budget(cap)
+    d = orient_all(f, o.heads)
+    for x in subset_masks(low_bits(f.n), include_empty, budget):
+        lhs, rhs = in_degree_mask(d, x), demand(x)
+        if lhs < rhs:
+            return Verdict(False, Witness("subset", (mask_vertices(x),), lhs, rhs, note))
+    return HOLDS
+
+
 def check_cover(g: MixedHypergraph, h: SetFunctionOracle, o: Orientation,
                 cap: int | Budget | None = None) -> Verdict:
     """Does the orientation give every nonempty vertex set at least h(X)
     entering heads?"""
-    budget = as_budget(cap)
-    d = orient_all(g, o.heads)
-    for x in subsets(range(g.n), include_empty=False, budget=budget):
-        lhs, rhs = in_degree(d, x), h(x)
-        if lhs < rhs:
-            return Verdict(False, Witness("subset", (x,), lhs, rhs,
-                                          "oriented in-degree below demand"))
-    return HOLDS
+    return _cover(g, o, cap, False, h.at, "oriented in-degree below demand")
 
 
 def check_mixed_cover(f: MixedHypergraph, h: SetFunctionOracle, o: Orientation,
                       cap: int | Budget | None = None) -> Verdict:
     """Does the orientation give every vertex set at least h(X) - h(P^X)
     entering elements, dyperedges included?"""
-    budget = as_budget(cap)
-    d = orient_all(f, o.heads)
-    for x in subsets(range(f.n), budget=budget):
-        lhs = in_degree(d, x)
-        rhs = h(x) - h(reach_to(f, x))
-        if lhs < rhs:
-            return Verdict(False, Witness("subset", (x,), lhs, rhs,
-                                          "oriented in-degree below relative demand"))
-    return HOLDS
+    return _cover(f, o, cap, True, lambda x: h.at(x) - h.at(reach_to_mask(f, x)),
+                  "oriented in-degree below relative demand")
 
 
 def _require_intersecting_supermodular(h: SetFunctionOracle, budget: Budget) -> None:
@@ -122,7 +122,7 @@ def frank_orient(g: MixedHypergraph, h: SetFunctionOracle,
     budget = as_budget(cap)
     if g.dyperedges:
         raise ValueError("orientation cover needs an undirected (hyper)graph")
-    if h(range(g.n)) != 0:
+    if h.at((1 << g.n) - 1) != 0:
         raise PropertyViolationError("h must vanish on the whole vertex set")
     _require_intersecting_supermodular(h, budget)
     condition = evaluate(ConditionId.FRANK_ORIENT, Instance(graph=g, h=h), budget)
@@ -131,14 +131,12 @@ def frank_orient(g: MixedHypergraph, h: SetFunctionOracle,
 
     m = len(g.hyperedges)
     # a set is decided once every hyperedge able to enter it has a head;
-    # an oriented hyperedge enters x iff it enters x unoriented and its head
-    # lies in x
-    singles = [MixedHypergraph(g.n, (e,)) for e in g.hyperedges]
+    # an oriented hyperedge enters x iff it meets x and its complement and
+    # its head lies in x
     buckets: list[list[tuple[int, int, list[int]]]] = [[] for _ in range(m + 1)]
-    for x in subsets(range(g.n), include_empty=False):
-        xm = vertex_mask(x)
-        entering = [i for i, one in enumerate(singles) if entering_mask(one, (xm,))]
-        buckets[entering[-1] + 1 if entering else 0].append((xm, h(x), entering))
+    for x in subset_masks(low_bits(g.n), False):
+        entering = [i for i, e in enumerate(g.hyperedge_masks) if e & x and e & ~x]
+        buckets[entering[-1] + 1 if entering else 0].append((x, h.at(x), entering))
 
     heads: list[int] = []
 
@@ -179,13 +177,10 @@ def compute_h2(f: MixedHypergraph, h: SetFunctionOracle, c: frozenset[int],
     table: dict[frozenset[int], tuple[int, frozenset[int]]] = {}
     closed: list[bool] = []
     for x in subset_masks(inside, False, budget):
-        best: int | None = None
-        best_y = x
-        for y in closed_extensions(f, outside, x, budget, closed):
-            val = h(mask_vertices(y)) - in_degree_mask(f, y)
-            if best is None or val > best:
-                best, best_y = val, y
-        table[mask_vertices(x)] = (best, mask_vertices(best_y))
+        val, y = max(((h.at(y) - in_degree_mask(f, y), y)
+                      for y in closed_extensions(f, outside, x, budget, closed)),
+                     key=lambda pair: pair[0])
+        table[mask_vertices(x)] = (val, mask_vertices(y))
     return H2Witness(c, mask_vertices(p), table)
 
 
@@ -200,7 +195,7 @@ def mixed_orient(f: MixedHypergraph, h: SetFunctionOracle,
     merged orientation is swept against the demand afterwards.
     """
     budget = as_budget(cap)
-    if h(()) != 0:
+    if h.at(0) != 0:
         raise ValueError("h must vanish on the empty set")
     _require_intersecting_supermodular(h, budget)
     condition = evaluate(ConditionId.NEW_ORIENT, Instance(graph=f, h=h), budget)
@@ -208,18 +203,18 @@ def mixed_orient(f: MixedHypergraph, h: SetFunctionOracle,
         return condition
 
     heads: list[int | None] = [None] * len(f.hyperedges)
-    comps = scc_condense(f)
-    active = frozenset(range(f.n))
+    comps = [(comp, vertex_mask(comp)) for comp in scc_condense(f)]
+    active = (1 << f.n) - 1
     while active:
-        c = next(
-            comp for comp in comps
-            if comp <= active and entering_count(f, (active - comp,)) == 0
+        c, inside = next(
+            (comp, mask) for comp, mask in comps
+            if not mask & ~active and entering_mask(f, (active & ~mask,)) == 0
         )
-        p = reach_to(f, c)
-        if not p <= active:
+        p = reach_to_mask(f, inside)
+        if p & ~active:
             raise PropertyViolationError("component closure escaped the active set")
         w = compute_h2(f, h, c, budget)
-        base = h(p)
+        base = h.at(p)
         if w.table[c][0] - base != 0:
             raise PropertyViolationError(
                 "lifted demand of a whole component must vanish; "
@@ -228,14 +223,8 @@ def mixed_orient(f: MixedHypergraph, h: SetFunctionOracle,
         # h2 already counts the dyperedges, so only the hyperedges are oriented
         sub, hmap, _ = induced_subgraph(f, c)
         local_graph = MixedHypergraph(sub.n, sub.hyperedges)
-
-        def local_h(xl: frozenset[int], _w=w, _base=base, _order=order) -> int:
-            if not xl:
-                return 0
-            xg = frozenset(_order[i] for i in xl)
-            return _w.table[xg][0] - _base
-
-        sub = frank_orient(local_graph, SetFunctionOracle(len(order), local_h, "h'"),
+        local_h = {frozenset(map(order.index, x)): val - base for x, (val, _) in w.table.items()}
+        sub = frank_orient(local_graph, SetFunctionOracle.from_table(len(order), local_h, "h'"),
                            budget)
         if isinstance(sub, Verdict):
             raise PropertyViolationError(
@@ -243,7 +232,7 @@ def mixed_orient(f: MixedHypergraph, h: SetFunctionOracle,
                 "instance; h breaks its declared properties")
         for local_idx, local_head in enumerate(sub.heads):
             heads[hmap[local_idx]] = order[local_head]
-        active -= c
+        active &= ~inside
 
     if any(x is None for x in heads):
         raise PropertyViolationError("a hyperedge crosses component boundaries")
@@ -273,28 +262,24 @@ def reduce_frank_to_new(g: MixedHypergraph, h: SetFunctionOracle,
         raise ValueError("the reduction starts from an undirected (hyper)graph")
     if g.n < 1:
         raise ValueError("need at least one vertex")
-    if h(range(g.n)) != 0:
+    if h.at((1 << g.n) - 1) != 0:
         raise PropertyViolationError("h must vanish on the whole vertex set")
     _require_intersecting_supermodular(h, budget)
 
     comps = scc_condense(g)
     k = len(comps)
     surplus = 0
-    for x in subsets(range(g.n), include_empty=False, budget=budget):
-        for y in subsets(sorted(frozenset(range(g.n)) - x), include_empty=False):
+    bits = low_bits(g.n)
+    for x in subset_masks(bits, False, budget):
+        for y in subset_masks([b for b in bits if not b & x], False):
             budget.spend()
-            surplus = max(surplus, h(x) + h(y) - h(x | y))
+            surplus = max(surplus, h.at(x) + h.at(y) - h.at(x | y))
     m = max(k, surplus)
     s = g.n
     new_edges = [frozenset({s, min(comp)}) for comp in comps]
     new_edges += [frozenset({s, 0})] * (m - k)
     g2 = MixedHypergraph(g.n + 1, g.hyperedges + tuple(new_edges), ())
 
-    def lifted(x: frozenset[int]) -> int:
-        if x == frozenset({s}):
-            return m
-        return h(x - {s})
-
-    h2 = SetFunctionOracle(g.n + 1, lifted, "h'")
+    h2 = SetFunctionOracle(g.n + 1, lambda x: m if x == {s} else h(x - {s}), "h'")
     _require_intersecting_supermodular(h2, budget)
     return g2, h2

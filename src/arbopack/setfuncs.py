@@ -1,20 +1,30 @@
 """Set function oracles and modularity checks.
 
-Functions here take and return plain ints on frozensets of vertices (or of
-arbitrary hashable ground elements).  Checks enumerate pairs of subsets,
-so they are meant for small grounds and guard themselves with a budget.
+Set functions map frozensets of vertices (or of other ground elements) to
+ints.  An oracle asks its function once per vertex set, through one table
+by vertex mask; the checks sweep pairs of subsets as masks, read each
+function through one mask table and guard themselves with a budget.
 """
 from __future__ import annotations
 
+import functools
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .structures import Budget, as_budget, memo, subsets
+from .structures import (
+    Budget,
+    as_budget,
+    low_bits,
+    mask_items,
+    mask_vertices,
+    subset_masks,
+    vertex_mask,
+)
 
 
 @dataclass
 class SetFunctionOracle:
-    """Memoized integer set function on subsets of 0..n-1.
+    """Integer set function on subsets of 0..n-1, asked once per set.
 
     The declared properties are trusted above the verification size; the
     orientation engines verify them eagerly on small vertex sets.
@@ -23,18 +33,24 @@ class SetFunctionOracle:
     n: int
     fn: Callable[[frozenset[int]], int]
     label: str = "h"
+    # values by vertex mask; a set that fn rejects by raising is asked again
+    _table: dict[int, int] = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    @memo
-    def __call__(self, x: frozenset[int]) -> int:
-        return int(self.fn(x))
+    def at(self, x: int) -> int:
+        """The value on the vertex mask x."""
+        if x not in self._table:
+            self._table[x] = int(self.fn(mask_vertices(x)))
+        return self._table[x]
+
+    def __call__(self, x: Iterable[int]) -> int:
+        return self.at(vertex_mask(x))
 
     @classmethod
     def from_table(cls, n: int, table: dict[frozenset[int], int], label: str = "h"):
         """Build from an explicit table.  The empty set must map to 0."""
         fixed = {frozenset(k): int(v) for k, v in table.items()}
-        if fixed.get(frozenset(), 0) != 0:
+        if fixed.setdefault(frozenset(), 0) != 0:
             raise ValueError("set function tables must assign 0 to the empty set")
-        fixed.setdefault(frozenset(), 0)
 
         def fn(x: frozenset[int]) -> int:
             if x not in fixed:
@@ -46,24 +62,31 @@ class SetFunctionOracle:
     @classmethod
     def from_matroid_roots(cls, n: int, roots, matroid, label: str = "-rank"):
         """h(X) = -rank of the roots lying in X; supermodular, h(empty) = 0."""
-
-        def fn(x: frozenset[int]) -> int:
-            return -matroid.rank(roots.restrict(x))
-
-        return cls(n, fn, label)
+        rank = roots.ranker(matroid)
+        return cls(n, lambda x: -rank(vertex_mask(x)), label)
 
 
-def _first_pair(ground: Iterable, violated: Callable[[frozenset, frozenset], bool],
-                budget: Budget, include_empty: bool = True
+def _on_masks(fn: Callable[[frozenset], int], pool: list) -> Callable[[int], int]:
+    """fn on masks over pool (bit i for pool[i]), asked once per mask; an
+    oracle on exactly these vertices is read through its own table."""
+    if isinstance(fn, SetFunctionOracle) and pool == list(range(fn.n)):
+        return fn.at
+    return functools.cache(lambda x: fn(mask_items(pool, x)))
+
+
+def _first_pair(ground: Iterable, fns: tuple[Callable[[frozenset], int], ...],
+                violated: Callable[..., bool], budget: Budget, include_empty: bool = True
                 ) -> tuple[frozenset, frozenset] | None:
-    """First pair X, Y of subsets of ground, in subset order, for which
-    violated(X, Y) holds, or None; one budget step per pair."""
+    """First pair X, Y of subsets of ground, in subset order, as masks with
+    violated(X, Y, *fns read by mask), or None; one budget step per pair."""
     pool = list(ground)
-    for x in subsets(pool, include_empty):
-        for y in subsets(pool, include_empty):
+    reads = [_on_masks(fn, pool) for fn in fns]
+    bits = low_bits(len(pool))
+    for x in subset_masks(bits, include_empty):
+        for y in subset_masks(bits, include_empty):
             budget.spend()
-            if violated(x, y):
-                return (x, y)
+            if violated(x, y, *reads):
+                return mask_items(pool, x), mask_items(pool, y)
     return None
 
 
@@ -72,7 +95,8 @@ def check_intersecting_supermodular(
 ) -> tuple[frozenset[int], frozenset[int]] | None:
     """First pair X, Y with X & Y nonempty violating
     h(X) + h(Y) <= h(X & Y) + h(X | Y), or None."""
-    return _first_pair(range(h.n), lambda x, y: x & y and h(x) + h(y) > h(x & y) + h(x | y),
+    return _first_pair(range(h.n), (h,),
+                       lambda x, y, f: x & y and f(x) + f(y) > f(x & y) + f(x | y),
                        as_budget(cap), include_empty=False)
 
 
@@ -80,7 +104,7 @@ def check_supermodular(
     fn: Callable[[frozenset], int], ground: Iterable, cap: int | Budget | None = None
 ) -> tuple[frozenset, frozenset] | None:
     """First pair violating fn(X) + fn(Y) <= fn(X & Y) + fn(X | Y), or None."""
-    return _first_pair(ground, lambda x, y: fn(x) + fn(y) > fn(x & y) + fn(x | y),
+    return _first_pair(ground, (fn,), lambda x, y, f: f(x) + f(y) > f(x & y) + f(x | y),
                        as_budget(cap))
 
 
@@ -88,7 +112,7 @@ def check_submodular(
     fn: Callable[[frozenset], int], ground: Iterable, cap: int | Budget | None = None
 ) -> tuple[frozenset, frozenset] | None:
     """First pair violating fn(X) + fn(Y) >= fn(X & Y) + fn(X | Y), or None."""
-    return _first_pair(ground, lambda x, y: fn(x) + fn(y) < fn(x & y) + fn(x | y),
+    return _first_pair(ground, (fn,), lambda x, y, f: f(x) + f(y) < f(x & y) + f(x | y),
                        as_budget(cap))
 
 
@@ -99,4 +123,5 @@ def check_cross_inequality(
     cap: int | Budget | None = None,
 ) -> tuple[frozenset, frozenset] | None:
     """First pair violating b(X) - p(Y) >= b(X - Y) - p(Y - X), or None."""
-    return _first_pair(ground, lambda x, y: b(x) - p(y) < b(x - y) - p(y - x), as_budget(cap))
+    return _first_pair(ground, (p, b), lambda x, y, p, b: b(x) - p(y) < b(x & ~y) - p(y & ~x),
+                       as_budget(cap))

@@ -13,9 +13,9 @@ enumerations work on masks.  Frozensets stay at the boundary: ``Instance``
 fields, witness payloads and the frozenset wrappers ``in_degree``,
 ``entering_count``, ``reach_to``, ``subsets`` and ``subpartitions``.
 Derived data (reachability, strongly connected components) is memoized on
-the instance.  The ``memo`` decorator gives the set-function, g-polymatroid
-and matroid oracles their per-instance caches.  ``check_inputs`` validates
-what an ``Instance`` gives a reader.
+the instance.  The ``memo`` decorator caches the g-polymatroid and matroid
+oracles (set functions keep a table by mask, see ``setfuncs``).
+``check_inputs`` validates what an ``Instance`` gives a reader.
 """
 from __future__ import annotations
 
@@ -419,6 +419,7 @@ class RootMultiset:
     counts: tuple[int, ...]
     # (vertex bit, count) per vertex with roots, for size_of
     weights: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
+    _copies: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "counts", tuple(int(c) for c in self.counts))
@@ -426,6 +427,8 @@ class RootMultiset:
             raise ValueError("root multiplicities must be nonnegative")
         object.__setattr__(self, "weights", tuple(
             (1 << v, c) for v, c in enumerate(self.counts) if c))
+        object.__setattr__(self, "_copies", tuple(
+            (v, i) for v, c in enumerate(self.counts) for i in range(c)))
 
     @classmethod
     def from_pairs(cls, n: int, pairs: Iterable[tuple[int, int]]) -> "RootMultiset":
@@ -445,13 +448,18 @@ class RootMultiset:
         return self.counts[v]
 
     def copies(self) -> tuple[tuple[int, int], ...]:
-        return tuple(
-            (v, i) for v in range(len(self.counts)) for i in range(self.counts[v])
-        )
+        return self._copies
 
     def restrict(self, x: Iterable[int]) -> tuple[tuple[int, int], ...]:
         xs = set(x)
-        return tuple(c for c in self.copies() if c[0] in xs)
+        return tuple(c for c in self._copies if c[0] in xs)
+
+    def ranker(self, matroid: Matroid) -> Callable[[int], int]:
+        """matroid.rank of the copies on a vertex mask, asked once per trace
+        of the mask on the support (no matroid rank spends budget)."""
+        support = sum(bit for bit, _ in self.weights)
+        rank = functools.cache(lambda x: matroid.rank(self.restrict(mask_bits(x))))
+        return lambda x: rank(x & support)
 
     def size_of(self, x: int) -> int:
         """Number of root copies on the vertex mask x."""

@@ -52,7 +52,7 @@ from arbopack import (
 from arbopack.conditions import scc_projection
 from arbopack.gpoly import feasible, integer_points
 from arbopack.matroids import extended_ground
-from arbopack.orientation import entering_count, scc_condense
+from arbopack.structures import entering_count, scc_condense
 from arbopack.fuzz import (
     _random_arcs,
     _random_matroid,

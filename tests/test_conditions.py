@@ -376,6 +376,40 @@ class TestMalformedWitnesses:
                              Witness("subpartition", ((frozenset({1}), frozenset()),)))
         assert witness_violates("frank_mixed", inst, Witness("subpartition", ((),))) is False
 
+    def edge(self):
+        return Instance(graph=mh(2, [{0, 1}], []), roots=RootMultiset((1, 1)))
+
+    def chain(self):
+        # 2 -> 0 -> 1: every vertex its own component, {1} closes over all
+        return Instance(graph=mh(3, [], [({2}, 0), ({0}, 1)]), roots=RootMultiset((1, 0, 1)))
+
+    def family(self, inst, component, *members):
+        return witness_violates("mt", inst, Witness(
+            "component_family", (frozenset(component), tuple(map(frozenset, members)))))
+
+    def test_family_component_must_be_a_component(self):
+        with pytest.raises(ValueError):
+            self.family(self.edge(), {0}, {5})
+        with pytest.raises(ValueError):
+            self.family(self.chain(), {0, 1}, {0, 1})
+
+    def test_family_member_must_lie_in_the_closure(self):
+        with pytest.raises(ValueError):
+            self.family(self.chain(), {0}, {0, 1})
+        assert self.family(self.chain(), {0}, {0, 2}) is False
+
+    def test_family_traces_nonempty_and_disjoint(self):
+        with pytest.raises(ValueError):
+            self.family(self.edge(), {0, 1}, {0}, {0})
+        with pytest.raises(ValueError):
+            self.family(self.chain(), {1}, {0, 2})
+        assert self.family(self.edge(), {0, 1}, {0}, {1}) is True
+
+    def test_family_member_quiet_outside_the_component(self):
+        with pytest.raises(ValueError):
+            self.family(self.chain(), {1}, {0, 1})
+        assert self.family(self.chain(), {1}, {0, 1, 2}) is False
+
 
 class TestSccProjection:
     def test_empty_set(self):

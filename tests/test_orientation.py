@@ -26,6 +26,7 @@ from arbopack import (
     subsets,
     Orientation,
     Verdict,
+    Witness,
 )
 from arbopack import conditions
 from arbopack.structures import entering_mask, vertex_mask
@@ -334,3 +335,76 @@ class TestCoverCheckers:
         f = mh(2, [{0, 1}], [({0}, 1)])
         h = table_h(2, {(1,): 1})
         assert check_mixed_cover(f, h, Orientation((0,))).holds
+
+
+class TestPinned:
+    """Budget steps and first results of the engines and cover checks on
+    fixed six-vertex inputs, holding and failing."""
+
+    CYCLE = MixedHypergraph(6, tuple(frozenset({i, (i + 1) % 6}) for i in range(6))
+                            + (frozenset({0, 3}),))
+    # two hyperedge clusters joined by dyperedges from {0, 1, 2} to {3, 4, 5}
+    CLUSTERS = MixedHypergraph(6, (frozenset({0, 1}), frozenset({1, 2}), frozenset({0, 2}),
+                                   frozenset({3, 4, 5}), frozenset({3, 4})),
+                               ((frozenset({2}), 3), (frozenset({0, 1}), 4)))
+
+    @staticmethod
+    def rooted(k):
+        """k entering heads for every nonempty set avoiding vertex 0."""
+        return SetFunctionOracle(6, lambda x: k * (bool(x) and 0 not in x))
+
+    @staticmethod
+    def roots_at_zero(count):
+        s = RootMultiset((count, 0, 0, 0, 0, 0))
+        return SetFunctionOracle.from_matroid_roots(6, s, FreeMatroid(s.copies()))
+
+    @staticmethod
+    def run(call, *args):
+        budget = Budget(100_000)
+        return call(*args, budget), 100_000 - budget.remaining
+
+    def test_frank_orient(self):
+        assert self.run(frank_orient, self.CYCLE, self.rooted(1)) == (
+            Orientation((0, 1, 2, 3, 4, 5, 0)), 4918)
+        got, steps = self.run(frank_orient, self.CYCLE, self.rooted(2))
+        assert steps == 3988
+        assert got.witness.payload == ((frozenset({1}), frozenset({2})),)
+        assert (got.witness.lhs, got.witness.rhs) == (3, 4)
+
+    def test_check_cover(self):
+        h = self.rooted(1)
+        assert self.run(check_cover, self.CYCLE, h, Orientation((0, 1, 2, 3, 4, 5, 0))) == (
+            Verdict(True), 63)
+        got, steps = self.run(check_cover, self.CYCLE, h, Orientation((0, 1, 2, 3, 4, 0, 0)))
+        assert steps == 6
+        assert got.witness == Witness("subset", (frozenset({5}),), 0, 1,
+                                      "oriented in-degree below demand")
+
+    def test_mixed_orient(self):
+        assert self.run(mixed_orient, self.CLUSTERS, self.roots_at_zero(1)) == (
+            Orientation((0, 1, 2, 5, 3)), 4417)
+        got, steps = self.run(mixed_orient, self.CLUSTERS, self.roots_at_zero(2))
+        assert steps == 3995
+        assert got.witness.payload == (frozenset({0, 1, 2}), (frozenset({1}), frozenset({2})))
+        assert (got.witness.lhs, got.witness.rhs) == (3, 4)
+
+    def test_check_mixed_cover(self):
+        assert self.run(check_mixed_cover, self.CLUSTERS, self.roots_at_zero(1),
+                        Orientation((0, 1, 2, 5, 3))) == (Verdict(True), 64)
+        got, steps = self.run(check_mixed_cover, self.CLUSTERS, self.roots_at_zero(2),
+                              Orientation((1, 2, 0, 3, 4)))
+        assert steps == 3
+        assert got.witness == Witness("subset", (frozenset({1}),), 1, 2,
+                                      "oriented in-degree below relative demand")
+
+    def test_reduce_frank_to_new(self):
+        (g2, h2), steps = self.run(reduce_frank_to_new, self.CYCLE, self.rooted(1))
+        assert steps == 20763
+        assert g2.hyperedges == self.CYCLE.hyperedges + (frozenset({0, 6}),)
+        assert h2(frozenset({6})) == 1
+        h = self.rooted(1)
+        bent = SetFunctionOracle(6, lambda x: h(x) - (x == {1, 2}))
+        budget = Budget(100_000)
+        with pytest.raises(PropertyViolationError, match=r"at \[0, 1, 2\], \[1, 2, 3\]"):
+            reduce_frank_to_new(self.CYCLE, bent, budget)
+        assert 100_000 - budget.remaining == 1355

@@ -69,3 +69,20 @@ def test_every_import_is_used():
     paths += sorted((ROOT / "tests").glob("*.py"))
     paths += sorted((ROOT / "perfbench").glob("*.py"))
     assert [bad for p in paths for bad in _unused_imports(p)] == []
+
+
+def test_set_function_layer_stays_on_masks():
+    """The set-function checks and the orientation engines sweep vertex
+    masks; the frozenset enumerators and counters are for the boundary."""
+    frozenset_helpers = {"subsets", "subpartitions", "set_partitions", "in_degree",
+                         "entering_count", "reach_to"}
+    called = []
+    for name in ("setfuncs.py", "orientation.py"):
+        tree = ast.parse((ROOT / "src" / "arbopack" / name).read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                callee = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if callee in frozenset_helpers:
+                    called.append(f"{name}:{node.lineno} {callee}")
+    assert called == []

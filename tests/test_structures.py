@@ -17,7 +17,6 @@ from arbopack import (
     KSumMatroid,
     MixedHypergraph,
     RootMultiset,
-    SetFunctionOracle,
     build_t,
     entering_count,
     in_degree,
@@ -364,7 +363,6 @@ def _triangle():
 
 # every method cached by memo, with a factory for a small instance
 MEMOIZED = [
-    (SetFunctionOracle, "__call__", lambda: SetFunctionOracle(3, len)),
     (GPoly, "p", lambda: GPoly(range(3), len, lambda z: 2 * len(z))),
     (GPoly, "b", lambda: GPoly(range(3), len, lambda z: 2 * len(z))),
     (HypergraphicMatroid, "_indep", _triangle),
