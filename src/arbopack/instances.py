@@ -269,6 +269,7 @@ def parse_packing(doc, names: tuple[str, ...]) -> Packing:
         root = _vertex(mdoc["root"], idx, "member root")
         copy = mdoc.get("copy", 0)
         _require(_is_int(copy) and copy >= 0, "member copy must be a nonnegative integer")
+        _require(isinstance(mdoc.get("picks", []), list), "member picks must be a list")
         picks = []
         for pdoc in mdoc.get("picks", []):
             _require(

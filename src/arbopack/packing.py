@@ -7,12 +7,14 @@ by its root (a vertex plus a copy index, so root multisets stay faithful)
 and one pick per element it uses: the element id together with the chosen
 tail and head.  Members never share an element.  The exhaustive oracle
 find_packing grounds every species in brute force and is the reference
-the constructive routines are compared against.
+the constructive routines are compared against.  Each species' counting
+rule is written once, on the members' root copies and vertex masks, and
+read by both verify and find_packing.
 """
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterator, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 
 from .conditions import ConditionId, evaluate
@@ -32,11 +34,12 @@ from .structures import (
     Witness,
     as_budget,
     check_inputs,
+    mask_bits,
     orient,
     orient_all,
-    reach_from,
-    reach_to,
-    subsets,
+    reach_from_mask,
+    reach_to_mask,
+    subset_masks,
 )
 
 # each species with the PackingSpec fields it reads and the Bounds fields
@@ -84,12 +87,6 @@ class Member:
 class Packing:
     members: tuple[Member, ...]
 
-    def element_ids(self) -> frozenset[tuple[str, int]]:
-        out: frozenset[tuple[str, int]] = frozenset()
-        for m in self.members:
-            out |= m.element_ids()
-        return out
-
 
 @dataclass(frozen=True)
 class PackingSpec:
@@ -128,34 +125,101 @@ def _check_picks(f: MixedHypergraph, packing: Packing) -> None:
                 raise ValueError(f"unknown element kind {p.kind!r}")
 
 
-def _member_is_arborescence(m: Member) -> bool:
+def _arborescence_mask(m: Member) -> int | None:
+    """The member's vertex mask if its picks form an arborescence from its
+    root (distinct heads, none of them the root, every tail reached before
+    its pick), else None."""
     heads = [p.head for p in m.picks]
     if m.root in heads or len(set(heads)) != len(heads):
-        return False
-    covered = {m.root}
-    pending = list(m.picks)
+        return None
+    covered = 1 << m.root
+    pending = m.picks
     while pending:
         rest = []
-        progressed = False
         for p in pending:
-            if p.tail in covered:
-                covered.add(p.head)
-                progressed = True
+            if covered >> p.tail & 1:
+                covered |= 1 << p.head
             else:
                 rest.append(p)
-        if not progressed:
-            return False
+        if len(rest) == len(pending):
+            return None
         pending = rest
-    return covered == m.vertex_set()
-
-
-def _copy_pairs(packing: Packing) -> list[tuple[int, int]]:
-    return [(m.root, m.copy) for m in packing.members]
+    return covered
 
 
 def _canonical(picks) -> tuple[Pick, ...]:
     """The picks of one member in canonical order: by kind, then index."""
     return tuple(sorted(picks, key=lambda p: (p.kind, p.index)))
+
+
+def _spans(f: MixedHypergraph, species: str) -> list[int]:
+    """Per root vertex, the vertex mask a spanning or reachability member
+    rooted there spans."""
+    full = (1 << f.n) - 1
+    return [full if species == "spanning" else reach_from_mask(f, 1 << v) for v in range(f.n)]
+
+
+def _bounded_shortfall(b: Bounds, rooted: Sequence[int], containing: Sequence[int]
+                       ) -> Witness | None:
+    """The bounded species' rule on the number of members rooted at and
+    containing each vertex: the first shortfall, or None."""
+    t = sum(rooted)
+    if t < b.l:
+        return Witness("global", (), t, b.l, "fewer members than allowed")
+    if t > b.lprime:
+        return Witness("global", (), b.lprime, t, "more members than allowed")
+    for v, (r, c) in enumerate(zip(rooted, containing)):
+        if r < b.f[v]:
+            return Witness("vertex", (v,), r, b.f[v], "vertex roots fewer members than required")
+        if r > b.g[v]:
+            return Witness("vertex", (v,), b.g[v], r, "vertex roots more members than allowed")
+        if c != b.k:
+            return Witness("vertex", (v,), c, b.k, "vertex is not in exactly k members")
+    return None
+
+
+def _counting_rule(f: MixedHypergraph, spec: PackingSpec) -> Callable[..., Witness | None]:
+    """The species' counting rule, read by verify and find_packing: given
+    the members' root copies and vertex masks, the first shortfall as a
+    Witness, or None when the members meet it."""
+    n, species = f.n, spec.species
+    if species == "bounded_regular_limited":
+        def rule(pairs, masks):
+            return _bounded_shortfall(spec.bounds, [sum(r == v for r, _ in pairs) for v in range(n)],
+                                      [sum(m >> v & 1 for m in masks) for v in range(n)])
+        return rule
+
+    copies = spec.roots.copies()
+    if species in ("spanning", "reachability"):
+        spans = _spans(f, species)
+
+        def rule(pairs, masks):
+            if tuple(sorted(pairs)) != copies:
+                return Witness("global", (), note="member roots differ from the root multiset")
+            for i, ((v, _), mask) in enumerate(zip(pairs, masks)):
+                if mask != spans[v]:
+                    return Witness("global", (i,),
+                                   note="member does not span its required vertex set")
+            return None
+        return rule
+
+    rank, matroid, known = spec.roots.ranker(spec.matroid), spec.matroid, frozenset(copies)
+    reaching = [(1 << n) - 1 if species == "matroid_based" else reach_to_mask(f, 1 << v)
+                for v in range(n)]
+
+    def rule(pairs, masks):
+        if len(set(pairs)) != len(pairs):
+            return Witness("global", (), note="a root copy roots two members")
+        if not known.issuperset(pairs):
+            raise ValueError("member root copies outside the root multiset")
+        for v in range(n):
+            at_v = tuple(pair for pair, m in zip(pairs, masks) if m >> v & 1)
+            want = rank(reaching[v])
+            if len(at_v) != want or not matroid.independent(at_v):
+                return Witness("vertex", (v,), len(at_v), want,
+                               "roots of the members at the vertex are not a basis")
+        return None
+    return rule
 
 
 def verify(f: MixedHypergraph, packing: Packing, spec: PackingSpec,
@@ -175,75 +239,30 @@ def verify(f: MixedHypergraph, packing: Packing, spec: PackingSpec,
                 return Verdict(False, Witness("global", (key,),
                                               note="element used by two members"))
             seen.add(key)
+    masks = []
     for i, m in enumerate(packing.members):
-        if not _member_is_arborescence(m):
+        mask = _arborescence_mask(m)
+        if mask is None:
             return Verdict(False, Witness("global", (i,),
                                           note="member is not an arborescence"))
-
-    species, s = spec.species, spec.roots
-    if species in ("spanning", "reachability"):
-        if sorted(_copy_pairs(packing)) != sorted(s.copies()):
-            return Verdict(False, Witness("global", (),
-                                          note="member roots differ from the root multiset"))
-        for i, m in enumerate(packing.members):
-            want = f.vertices if species == "spanning" else reach_from(f, (m.root,))
-            if m.vertex_set() != want:
-                return Verdict(False, Witness("global", (i,),
-                                              note="member does not span its required vertex set"))
-        return HOLDS
-    if species in ("matroid_based", "matroid_reachability_based"):
-        pairs = _copy_pairs(packing)
-        if len(set(pairs)) != len(pairs):
-            return Verdict(False, Witness("global", (),
-                                          note="a root copy roots two members"))
-        if not set(pairs) <= set(s.copies()):
-            raise ValueError("member root copies outside the root multiset")
-        for v in range(f.n):
-            roots_at = tuple(
-                (m.root, m.copy) for m in packing.members if v in m.vertex_set()
-            )
-            if species == "matroid_based":
-                want = spec.matroid.full_rank()
-            else:
-                want = spec.matroid.rank(s.restrict(reach_to(f, (v,))))
-            if len(roots_at) != want or not spec.matroid.independent(roots_at):
-                return Verdict(False, Witness("vertex", (v,), len(roots_at), want,
-                                              "roots of the members at the vertex are not a basis"))
-        return HOLDS
-
-    b = spec.bounds
-    t = len(packing.members)
-    if t < b.l:
-        return Verdict(False, Witness("global", (), t, b.l, "fewer members than allowed"))
-    if t > b.lprime:
-        return Verdict(False, Witness("global", (), b.lprime, t, "more members than allowed"))
-    for v in range(f.n):
-        rooted = sum(1 for m in packing.members if m.root == v)
-        if rooted < b.f[v]:
-            return Verdict(False, Witness("vertex", (v,), rooted, b.f[v],
-                                          "vertex roots fewer members than required"))
-        if rooted > b.g[v]:
-            return Verdict(False, Witness("vertex", (v,), b.g[v], rooted,
-                                          "vertex roots more members than allowed"))
-        containing = sum(1 for m in packing.members if v in m.vertex_set())
-        if containing != b.k:
-            return Verdict(False, Witness("vertex", (v,), containing, b.k,
-                                          "vertex is not in exactly k members"))
-    return HOLDS
+        masks.append(mask)
+    witness = _counting_rule(f, spec)([(m.root, m.copy) for m in packing.members], masks)
+    return HOLDS if witness is None else Verdict(False, witness)
 
 
 # ---------------------------------------------------------------------------
 # exhaustive search
 
-def _grow_member(root: int, target: frozenset[int], by_head: dict,
+def _grow_member(root: int, target: int, by_head: dict,
                  used: frozenset[tuple[str, int]], budget: Budget
                  ) -> Iterator[tuple[Pick, ...]]:
-    """Arborescences rooted at root spanning exactly target, drawn from the
-    unused elements.  One canonical tail witness per feasible element
-    choice; a reach-growing trim exists iff any acyclic trim does."""
-    need = sorted(target - {root})
+    """Arborescences rooted at root spanning exactly the vertex mask target,
+    drawn from the unused elements, each a (kind, index, tail mask, head)
+    record.  One canonical tail witness per feasible element choice: the
+    lowest covered tail; a reach-growing trim exists iff any acyclic trim
+    does."""
     cand_lists = []
-    for u in need:
+    for u in mask_bits(target & ~(1 << root)):
         lst = [
             rec for rec in by_head.get(u, ())
             if (rec[0], rec[1]) not in used and rec[2] & target
@@ -253,24 +272,19 @@ def _grow_member(root: int, target: frozenset[int], by_head: dict,
         cand_lists.append(lst)
     for combo in itertools.product(*cand_lists):
         budget.spend()
-        chosen = dict(zip(need, combo))
-        covered = {root}
-        pending = set(need)
+        covered = 1 << root
+        pending = list(combo)
         picks = []
         while pending:
-            grown = None
-            for u in sorted(pending):
-                reachable = chosen[u][2] & covered
-                if reachable:
-                    grown = (u, min(reachable))
+            for i, (kind, index, tails, head) in enumerate(pending):
+                reached = tails & covered
+                if reached:
                     break
-            if grown is None:
+            else:
                 break
-            u, tail = grown
-            rec = chosen[u]
-            picks.append(Pick(rec[0], rec[1], tail, u))
-            covered.add(u)
-            pending.discard(u)
+            picks.append(Pick(kind, index, (reached & -reached).bit_length() - 1, head))
+            covered |= 1 << head
+            del pending[i]
         if not pending:
             yield _canonical(picks)
 
@@ -283,9 +297,8 @@ def _pack_members(roots, targets, by_head, budget) -> tuple[Member, ...] | None:
             return True
         rv, rc = roots[i]
         for picks in _grow_member(rv, targets[i], by_head, used, budget):
-            ids = frozenset((p.kind, p.index) for p in picks)
             out.append(Member(rv, rc, picks))
-            if step(i + 1, used | ids):
+            if step(i + 1, used | out[-1].element_ids()):
                 return True
             out.pop()
         return False
@@ -293,90 +306,60 @@ def _pack_members(roots, targets, by_head, budget) -> tuple[Member, ...] | None:
     return tuple(out) if step(0, frozenset()) else None
 
 
-def _assignments(f: MixedHypergraph, spec: PackingSpec, budget: Budget
+def _assignments(f: MixedHypergraph, spec: PackingSpec, rule: Callable, budget: Budget
                  ) -> Iterator[tuple[tuple, tuple]]:
-    """Root lists (as copy pairs) with per-member vertex set targets, every
-    combination already satisfying the species' counting conditions."""
-    n = f.n
-    if spec.species == "spanning":
+    """Root lists (as copy pairs) with per-member vertex mask targets that
+    meet the species' counting rule, in canonical order."""
+    n, species = f.n, spec.species
+    if species in ("spanning", "reachability"):
         roots = spec.roots.copies()
-        yield roots, tuple(f.vertices for _ in roots)
-        return
-    if spec.species == "reachability":
-        roots = spec.roots.copies()
-        yield roots, tuple(reach_from(f, (v,)) for v, _ in roots)
+        spans = _spans(f, species)
+        targets = tuple(spans[v] for v, _ in roots)
+        if rule(roots, targets) is None:
+            yield roots, targets
         return
 
-    cand_by_vertex = {
-        v: [u for u in subsets(sorted(reach_from(f, (v,)))) if v in u]
+    # the vertex sets a member rooted at v may span, by size then lexicographic
+    cand_by_vertex = [
+        [u for u in subset_masks([1 << w for w in mask_bits(reach_from_mask(f, 1 << v))])
+         if u >> v & 1]
         for v in range(n)
-    }
-    if spec.species in ("matroid_based", "matroid_reachability_based"):
+    ]
+    if species != "bounded_regular_limited":
         copies = spec.roots.copies()
-        m = spec.matroid
-        if spec.species == "matroid_based":
-            want = {v: m.full_rank() for v in range(n)}
-        else:
-            want = {
-                v: m.rank(spec.roots.restrict(reach_to(f, (v,))))
-                for v in range(n)
-            }
-        for rset in subsets(copies, budget=budget):
-            roots = tuple(cp for cp in copies if cp in rset)
-            for targets in itertools.product(*(cand_by_vertex[rv] for rv, _ in roots)):
+        for size in range(len(copies) + 1):
+            for roots in itertools.combinations(copies, size):
                 budget.spend()
-                ok = True
-                for v in range(n):
-                    at_v = tuple(
-                        roots[i] for i in range(len(roots)) if v in targets[i]
-                    )
-                    if len(at_v) != want[v] or not m.independent(at_v):
-                        ok = False
-                        break
-                if ok:
-                    yield roots, targets
+                for targets in itertools.product(*(cand_by_vertex[rv] for rv, _ in roots)):
+                    budget.spend()
+                    if rule(roots, targets) is None:
+                        yield roots, targets
         return
 
     b = spec.bounds
-    upper = min(b.lprime, b.k * n)
-    for t in range(b.l, upper + 1):
+    for t in range(b.l, min(b.lprime, b.k * n) + 1):
         for vec in itertools.combinations_with_replacement(range(n), t):
             budget.spend()
-            counts = [0] * n
-            for v in vec:
-                counts[v] += 1
-            if any(not b.f[v] <= counts[v] <= b.g[v] for v in range(n)):
+            counts = [vec.count(v) for v in range(n)]
+            # prune root vectors the rule rejects even with every vertex covered k times
+            if _bounded_shortfall(b, counts, [b.k] * n):
                 continue
-            copy_no = [0] * n
-            roots = []
-            for v in vec:
-                roots.append((v, copy_no[v]))
-                copy_no[v] += 1
-            roots = tuple(roots)
+            roots = tuple((v, c) for v in range(n) for c in range(counts[v]))
 
-            def targets_rec(i: int, cover: tuple[int, ...]):
+            def targets_rec(i: int, cover: list[int], chosen: tuple[int, ...]):
                 if i == t:
-                    if all(c == b.k for c in cover):
-                        yield ()
+                    if rule(roots, chosen) is None:
+                        yield chosen
                     return
-                left = t - i - 1
+                # each vertex must stay within reach of k members, and not pass k
+                low = b.k - (t - i - 1)
                 for u in cand_by_vertex[vec[i]]:
                     budget.spend()
-                    nxt = list(cover)
-                    ok = True
-                    for v in u:
-                        nxt[v] += 1
-                        if nxt[v] > b.k:
-                            ok = False
-                            break
-                    if not ok:
-                        continue
-                    if any(nxt[v] + left < b.k for v in range(n)):
-                        continue
-                    for rest in targets_rec(i + 1, tuple(nxt)):
-                        yield (u,) + rest
+                    nxt = [c + (u >> v & 1) for v, c in enumerate(cover)]
+                    if all(low <= c <= b.k for c in nxt):
+                        yield from targets_rec(i + 1, nxt, chosen + (u,))
 
-            for targets in targets_rec(0, tuple([0] * n)):
+            for targets in targets_rec(0, [0] * n, ()):
                 yield roots, targets
 
 
@@ -389,17 +372,19 @@ def find_packing(f: MixedHypergraph, spec: PackingSpec,
     element of f qualify."""
     budget = as_budget(cap)
     _validate_spec(f, spec)
+    rule = _counting_rule(f, spec)
     total = len(f.hyperedges) + len(f.dyperedges)
+    arcs: dict[int, list] = {}
+    for j, (tails, head) in enumerate(f.dyperedge_masks):
+        u = head.bit_length() - 1
+        arcs.setdefault(u, []).append(("A", j, tails, u))
     for heads in orientation_space(f):
         budget.spend()
-        by_head: dict[int, list] = {}
-        for j, (tails, head) in enumerate(f.dyperedges):
-            by_head.setdefault(head, []).append(("A", j, tails, head))
-        for i, e in enumerate(f.hyperedges):
-            head = heads[i]
-            by_head.setdefault(head, []).append(("E", i, e - {head}, head))
-        for roots, targets in _assignments(f, spec, budget):
-            if use_every_element and sum(len(u) - 1 for u in targets) != total:
+        by_head = {u: recs[:] for u, recs in arcs.items()}
+        for i, (e, u) in enumerate(zip(f.hyperedge_masks, heads)):
+            by_head.setdefault(u, []).append(("E", i, e & ~(1 << u), u))
+        for roots, targets in _assignments(f, spec, rule, budget):
+            if use_every_element and sum(u.bit_count() - 1 for u in targets) != total:
                 continue
             members = _pack_members(roots, targets, by_head, budget)
             if members is not None:

@@ -11,7 +11,8 @@ bit mask (bit v for vertex v): each structure builds its element masks
 once, and the entering rule, reachability and the subset and subpartition
 enumerations work on masks.  Frozensets stay at the boundary: ``Instance``
 fields, witness payloads and the frozenset wrappers ``in_degree``,
-``entering_count``, ``reach_to``, ``subsets`` and ``subpartitions``.
+``entering_count``, ``reach_from``, ``reach_to``, ``subsets`` and
+``subpartitions``.
 Derived data (reachability, strongly connected components) is memoized on
 the instance.  The ``memo`` decorator caches the g-polymatroid and matroid
 oracles (set functions keep a table by mask, see ``setfuncs``).
@@ -248,29 +249,29 @@ def induced_subgraph(
 # ---------------------------------------------------------------------------
 # reachability
 
-def _reach_from_single(f: MixedHypergraph) -> tuple[frozenset[int], ...]:
-    """Forward closure per vertex (includes the vertex itself), memoized."""
+def _reach_from_single(f: MixedHypergraph) -> tuple[int, ...]:
+    """Per vertex, the mask of the vertices it reaches (itself included),
+    memoized."""
     cached = f._cache.get("reach1")
     if cached is not None:
         return cached
-    succ: list[set[int]] = [set() for _ in range(f.n)]
-    for e in f.hyperedges:
-        for u in e:
-            succ[u] |= e - {u}
-    for tails, head in f.dyperedges:
-        for y in tails:
-            succ[y].add(head)
+    succ = [0] * f.n
+    for e in f.hyperedge_masks:
+        for u in mask_bits(e):
+            succ[u] |= e
+    for tails, head in f.dyperedge_masks:
+        for y in mask_bits(tails):
+            succ[y] |= head
     out = []
     for s in range(f.n):
-        seen = {s}
-        stack = [s]
-        while stack:
-            u = stack.pop()
-            for v in succ[u]:
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        out.append(frozenset(seen))
+        seen = frontier = 1 << s
+        while frontier:
+            grown = 0
+            for u in mask_bits(frontier):
+                grown |= succ[u]
+            frontier = grown & ~seen
+            seen |= frontier
+        out.append(seen)
     result = tuple(out)
     f._cache["reach1"] = result
     return result
@@ -283,32 +284,38 @@ def _reach_to_single(f: MixedHypergraph) -> tuple[int, ...]:
         return cached
     into = [0] * f.n
     for u, reached in enumerate(_reach_from_single(f)):
-        for v in reached:
+        for v in mask_bits(reached):
             into[v] |= 1 << u
     result = tuple(into)
     f._cache["reach_to1"] = result
     return result
 
 
+def _reach(table: tuple[int, ...], x: int) -> int:
+    """Union of table[v] over the vertices v of mask x."""
+    out = 0
+    while x:
+        low = x & -x
+        out |= table[low.bit_length() - 1]
+        x ^= low
+    return out
+
+
+def reach_from_mask(f: MixedHypergraph, x: int) -> int:
+    """Mask of the vertices reachable from some vertex of mask x (x
+    included)."""
+    return _reach(_reach_from_single(f), x)
+
+
 def reach_from(f: MixedHypergraph, x: Iterable[int]) -> frozenset[int]:
     """Vertices reachable from at least one vertex of x (x included)."""
-    rf = _reach_from_single(f)
-    out: frozenset[int] = frozenset()
-    for v in x:
-        out |= rf[v]
-    return out
+    return mask_vertices(reach_from_mask(f, vertex_mask(x)))
 
 
 def reach_to_mask(f: MixedHypergraph, x: int) -> int:
     """Mask of the vertices from which some vertex of mask x is reachable
     (x included)."""
-    into = _reach_to_single(f)
-    out = 0
-    while x:
-        low = x & -x
-        out |= into[low.bit_length() - 1]
-        x ^= low
-    return out
+    return _reach(_reach_to_single(f), x)
 
 
 def reach_to(f: MixedHypergraph, x: Iterable[int]) -> frozenset[int]:
@@ -333,13 +340,13 @@ def scc_condense(f: MixedHypergraph) -> tuple[frozenset[int], ...]:
     for v in range(f.n):
         if assigned[v]:
             continue
-        comp = frozenset(u for u in rf[v] if v in rf[u])
+        comp = frozenset(u for u in mask_bits(rf[v]) if rf[u] >> v & 1)
         for u in comp:
             assigned[u] = True
         comps.append(comp)
     # u reaches strictly more vertices than anything it reaches but is not
     # reached by, so sorting by closure size descending is a topological order
-    comps.sort(key=lambda c: (-len(rf[min(c)]), min(c)))
+    comps.sort(key=lambda c: (-rf[min(c)].bit_count(), min(c)))
     result = tuple(comps)
     f._cache["scc"] = result
     return result

@@ -160,6 +160,8 @@ MALFORMED = {
     "bound-scalar-false": {"bounds": {"f": False, "g": 1, "k": 1}},
     "bound-map-true": {"bounds": {"f": 0, "g": {"a": True}, "k": 1}},
 }
+# a member's picks that are not a list
+MALFORMED_PICKS = (5, None)
 
 
 class TestMalformedDocuments:
@@ -182,6 +184,25 @@ class TestMalformedDocuments:
         path = tmp_path / "i.json"
         path.write_text(json.dumps(self.doc(extra)))
         assert main(["check", "--theorem", "edmonds", "--instance", str(path)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    @staticmethod
+    def packing_doc(picks):
+        return {"schema_version": SCHEMA_VERSION, "members": [{"root": "a", "picks": picks}]}
+
+    @pytest.mark.parametrize("picks", MALFORMED_PICKS, ids=[str(p) for p in MALFORMED_PICKS])
+    def test_packing_picks_schema_error(self, picks):
+        with pytest.raises(SchemaError):
+            parse_packing(self.packing_doc(picks), ("a", "b", "c"))
+
+    @pytest.mark.parametrize("picks", MALFORMED_PICKS, ids=[str(p) for p in MALFORMED_PICKS])
+    def test_verify_picks_exits_2(self, picks, tmp_path, capsys):
+        inst, pack = tmp_path / "i.json", tmp_path / "p.json"
+        inst.write_text(json.dumps(self.doc({})))
+        pack.write_text(json.dumps(self.packing_doc(picks)))
+        argv = ["verify", "--spec", "spanning", "--instance", str(inst), "--packing", str(pack)]
+        assert main(argv) == EXIT_USAGE
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
 

@@ -6,6 +6,7 @@ import pytest
 
 from arbopack import (
     Bounds,
+    Budget,
     ConditionId,
     FreeMatroid,
     Instance,
@@ -17,6 +18,7 @@ from arbopack import (
     RootMultiset,
     UniformMatroid,
     Verdict,
+    Witness,
     corollary1_pack,
     evaluate,
     find_packing,
@@ -38,6 +40,84 @@ def _random_mixed_graph(rng, n):
 
 def spanning_spec(counts):
     return PackingSpec("spanning", roots=RootMultiset(tuple(counts)))
+
+
+def A(index, tail, head):
+    return Pick("A", index, tail, head)
+
+
+def E(index, tail, head):
+    return Pick("E", index, tail, head)
+
+
+def roots_spec(species, counts, rank=None):
+    """A species on a root multiset; the matroid species get the free
+    matroid on the copies, or the uniform one of the given rank."""
+    s = RootMultiset(counts)
+    if species.startswith("matroid"):
+        m = FreeMatroid(s.copies()) if rank is None else UniformMatroid(s.copies(), rank)
+        return PackingSpec(species, roots=s, matroid=m)
+    return PackingSpec(species, roots=s)
+
+
+def brl_spec(f, g, k, l, lprime):
+    return PackingSpec("bounded_regular_limited", bounds=Bounds(f=f, g=g, k=k, l=l, lprime=lprime))
+
+
+# one hand-built faulty packing per verdict note: (graph, packing, spec, witness)
+VERIFY_WITNESSES = {
+    "element-reused": (
+        mh(2, (), [({0}, 1)]),
+        Packing((Member(0, picks=(A(0, 0, 1),)), Member(0, 1, (A(0, 0, 1),)))),
+        spanning_spec((2, 0)),
+        Witness("global", (("A", 0),), note="element used by two members")),
+    "not-arborescence": (
+        mh(2, (), [({0}, 1), ({0}, 1), ({0}, 1)]),
+        Packing((Member(0, picks=(A(0, 0, 1),)), Member(0, 1, (A(1, 0, 1), A(2, 0, 1))))),
+        spanning_spec((2, 0)),
+        Witness("global", (1,), note="member is not an arborescence")),
+    "roots-differ": (
+        mh(1, (), []), Packing((Member(0, copy=2),)), spanning_spec((1,)),
+        Witness("global", (), note="member roots differ from the root multiset")),
+    "does-not-span": (
+        mh(3, (), [({0}, 1)]), Packing((Member(1), Member(0))),
+        roots_spec("reachability", (1, 1, 0)),
+        Witness("global", (1,), note="member does not span its required vertex set")),
+    "copy-roots-two": (
+        mh(2, (), []), Packing((Member(0), Member(0))), roots_spec("matroid_based", (1, 0)),
+        Witness("global", (), note="a root copy roots two members")),
+    "not-a-basis": (
+        mh(2, (), [({0}, 1)]), Packing((Member(0), Member(1))),
+        roots_spec("matroid_reachability_based", (1, 1)),
+        Witness("vertex", (1,), 1, 2, "roots of the members at the vertex are not a basis")),
+    "fewer-members": (
+        mh(1, (), []), Packing(()), brl_spec((0,), (1,), 1, 1, 1),
+        Witness("global", (), 0, 1, "fewer members than allowed")),
+    "more-members": (
+        mh(2, (), []), Packing((Member(0), Member(1))), brl_spec((0, 0), (1, 1), 1, 1, 1),
+        Witness("global", (), 1, 2, "more members than allowed")),
+    "roots-below-f": (
+        mh(2, (), [({0}, 1)]), Packing((Member(0, picks=(A(0, 0, 1),)),)),
+        brl_spec((0, 1), (1, 1), 1, 1, 2),
+        Witness("vertex", (1,), 0, 1, "vertex roots fewer members than required")),
+    "roots-above-g": (
+        mh(2, (), []), Packing((Member(0), Member(1))), brl_spec((0, 0), (0, 1), 1, 1, 2),
+        Witness("vertex", (0,), 0, 1, "vertex roots more members than allowed")),
+    "not-k-members": (
+        mh(2, (), []), Packing((Member(0),)), brl_spec((0, 0), (1, 1), 1, 1, 2),
+        Witness("vertex", (1,), 0, 1, "vertex is not in exactly k members")),
+}
+
+
+class TestVerifyWitnesses:
+    @pytest.mark.parametrize("case", VERIFY_WITNESSES.values(), ids=VERIFY_WITNESSES.keys())
+    def test_first_witness(self, case):
+        f, packing, spec, witness = case
+        assert verify(f, packing, spec) == Verdict(False, witness)
+
+    def test_root_copy_outside_the_multiset_raises(self):
+        with pytest.raises(ValueError, match="outside the root multiset"):
+            verify(mh(2, (), []), Packing((Member(0, copy=1),)), roots_spec("matroid_based", (1, 0)))
 
 
 class TestVerify:
@@ -162,6 +242,34 @@ class TestFindPacking:
         spec = spanning_spec((1, 0))
         assert find_packing(f, spec) is not None
         assert find_packing(f, spec, use_every_element=True) is None
+
+    @pytest.mark.parametrize("f, spec, every, want, steps", [
+        (mh(3, [{0, 1}], [({1}, 2), ({2}, 0)]), spanning_spec((1, 0, 0)), False,
+         (Member(0, picks=(A(0, 1, 2), E(0, 0, 1))),), 3),
+        (mh(3, (), [({0}, 1)]), spanning_spec((1, 0, 0)), False, None, 1),
+        (mh(3, (), [({0}, 1), ({0}, 1), ({2}, 1)]), roots_spec("reachability", (2, 0, 1)), False,
+         (Member(0, picks=(A(0, 0, 1),)), Member(0, 1, (A(1, 0, 1),)),
+          Member(2, picks=(A(2, 2, 1),))), 4),
+        (mh(3, (), [({0}, 1), ({2}, 1)]), roots_spec("reachability", (2, 0, 1)), False, None, 2),
+        (mh(2, (), [({0}, 1), ({1}, 0)]), roots_spec("matroid_based", (1, 1)), False,
+         (Member(0, picks=(A(0, 0, 1),)), Member(1, picks=(A(1, 1, 0),))), 16),
+        (mh(2, (), [({0}, 1)]), roots_spec("matroid_based", (1, 1)), False, None, 11),
+        (mh(3, [{1, 2}], [({0}, 1), ({0}, 2)]),
+         roots_spec("matroid_reachability_based", (2, 1, 0), rank=2), False,
+         (Member(0), Member(0, 1, (A(0, 0, 1), A(1, 0, 2))), Member(1, picks=(E(0, 1, 2),))), 165),
+        (mh(3, [{1, 2}], [({0}, 1), ({0}, 2)]),
+         roots_spec("matroid_reachability_based", (2, 1, 0), rank=2), True,
+         (Member(0), Member(0, 1, (A(0, 0, 1), A(1, 0, 2))), Member(1, picks=(E(0, 1, 2),))), 161),
+        (mh(2, (), [({0}, 1)]), roots_spec("matroid_reachability_based", (2, 0)), False, None, 15),
+        (mh(3, [{0, 1}], [({0}, 1), ({1}, 2), ({2}, 0)]), brl_spec((0, 0, 0), (1, 1, 1), 1, 1, 1),
+         False, (Member(0, picks=(A(0, 0, 1), A(1, 1, 2))),), 7),
+        (mh(3, (), [({0}, 1)]), brl_spec((1, 0, 0), (1, 0, 0), 1, 1, 1), False, None, 6),
+    ])
+    def test_pinned_packing_and_steps(self, f, spec, every, want, steps):
+        budget = Budget(10_000)
+        got = find_packing(f, spec, budget, use_every_element=every)
+        assert got == (None if want is None else Packing(want))
+        assert budget.remaining == 10_000 - steps
 
     def test_matches_main_condition(self):
         rng = random.Random(41)

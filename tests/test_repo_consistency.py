@@ -72,12 +72,13 @@ def test_every_import_is_used():
 
 
 def test_set_function_layer_stays_on_masks():
-    """The set-function checks and the orientation engines sweep vertex
-    masks; the frozenset enumerators and counters are for the boundary."""
+    """The set-function checks, the orientation engines and the packing
+    rules and search sweep vertex masks; the frozenset enumerators and
+    counters are for the boundary."""
     frozenset_helpers = {"subsets", "subpartitions", "set_partitions", "in_degree",
-                         "entering_count", "reach_to"}
+                         "entering_count", "reach_to", "reach_from"}
     called = []
-    for name in ("setfuncs.py", "orientation.py"):
+    for name in ("setfuncs.py", "orientation.py", "packing.py"):
         tree = ast.parse((ROOT / "src" / "arbopack" / name).read_text(encoding="utf-8"))
         for node in ast.walk(tree):
             if isinstance(node, ast.Call):
