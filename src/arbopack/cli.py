@@ -203,30 +203,24 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_rank(args) -> int:
+    if args.formula and args.extended_k is None:
+        raise SchemaError("--formula needs --extended-k")
     inst, names = _load_instance(args.instance)
     if args.extended_k is not None:
-        m = ExtendedHypergraphicMatroid(inst.graph, args.extended_k)
-        if args.elements_file:
-            subset = parse_extended_elements(_load_json(args.elements_file), names)
-        else:
-            subset = frozenset(m.ground)
-        if not subset <= frozenset(m.ground):
-            raise SchemaError("elements outside the extended ground")
-        if args.formula:
-            value = m.rank_by_partition_formula(subset, args.cap)
-        else:
-            value = m.rank(subset)
-        _emit({"rank": value, "elements": len(subset)}, args)
-        return EXIT_OK
-    if inst.matroid is None:
+        m, where = ExtendedHypergraphicMatroid(inst.graph, args.extended_k), "extended"
+    elif inst.matroid is None:
         raise SchemaError("instance has no matroid; use --extended-k for the extended one")
-    if args.elements_file:
-        subset = parse_root_copies(_load_json(args.elements_file), names, inst.roots)
     else:
-        subset = frozenset(inst.matroid.ground)
-    if not subset <= frozenset(inst.matroid.ground):
-        raise SchemaError("elements outside the matroid ground")
-    _emit({"rank": inst.matroid.rank(subset), "elements": len(subset)}, args)
+        m, where = inst.matroid, "matroid"
+    subset = frozenset(m.ground)
+    if args.elements_file:
+        doc = _load_json(args.elements_file)
+        subset = (parse_extended_elements(doc, names) if args.extended_k is not None
+                  else parse_root_copies(doc, names, inst.roots))
+    if not m.bit.keys() >= subset:
+        raise SchemaError(f"elements outside the {where} ground")
+    value = m.rank_by_partition_formula(subset, args.cap) if args.formula else m.rank(subset)
+    _emit({"rank": value, "elements": len(subset)}, args)
     return EXIT_OK
 
 

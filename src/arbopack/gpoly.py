@@ -27,7 +27,6 @@ from .structures import (
     as_budget,
     check_inputs,
     low_bits,
-    mask_items,
     memo,
     subset_masks,
     subsets,
@@ -193,9 +192,9 @@ class TPolyhedron:
     the per-vertex pieces bound in-degrees, the plank bounds the total
     member count and the matroid factor keeps the support independent.
 
-    Element sets are bit masks (bit i for ground[i]).  head_masks[v] holds
-    the elements with head v and degree[v] counts them; room["g"][v] is
-    k - g_k(v) and room["f"][v] is k - f(v).
+    Element sets are the matroid's ground masks (matroid.bit).  head_masks[v]
+    holds the elements with head v and degree[v] counts them; room["g"][v]
+    is k - g_k(v) and room["f"][v] is k - f(v).
     """
 
     def __init__(self, f: MixedHypergraph, bounds: Bounds):
@@ -205,20 +204,12 @@ class TPolyhedron:
         self.bounds = bounds
         self.matroid = ExtendedHypergraphicMatroid(f, bounds.k)
         self.ground = self.matroid.ground
-        self.ground_set = self.matroid.ground_set
-        self.bit = {e: 1 << i for i, e in enumerate(self.ground)}
-        self.head_masks = tuple(sum(bit for e, bit in self.bit.items() if element_head(f, e) == v)
+        self.ground_set = frozenset(self.ground)
+        self.head_masks = tuple(sum(bit for e, bit in self.matroid.bit.items() if element_head(f, e) == v)
                                 for v in range(f.n))
         self.degree = tuple(m.bit_count() for m in self.head_masks)
         self.room = {"g": tuple(bounds.k - bounds.g_k(v) for v in range(f.n)),
                      "f": tuple(bounds.k - bounds.f[v] for v in range(f.n))}
-
-    def mask(self, zs: Iterable) -> int:
-        """The bit mask of an element set of the ground."""
-        z = frozenset(zs)
-        if not z <= self.ground_set:
-            raise ValueError("element set leaves the ground of T")
-        return sum(self.bit[e] for e in z)
 
     def head_counts(self, z: int) -> tuple[int, ...]:
         """In-degree of every vertex in the element set with mask z."""
@@ -246,11 +237,11 @@ class TPolyhedron:
 
     def p(self, zs: Iterable) -> int:
         """Lower bound of T at an element set of the ground."""
-        return self.pair(self.mask(zs))[0]
+        return self.pair(self.matroid.mask(zs))[0]
 
     def b(self, zs: Iterable) -> int:
         """Upper bound of T at an element set of the ground."""
-        return self.pair(self.mask(zs))[1]
+        return self.pair(self.matroid.mask(zs))[1]
 
     def rank(self, zs: Iterable) -> int:
         """Rank in the extended matroid, uncached; witness checks read it,
@@ -281,11 +272,10 @@ def ground_sweep(t: TPolyhedron, cap: int | Budget | None = None) -> Verdict:
     """For every element set z, both demand forms must stay within the
     rank of the complement; the first violation is the witness.
 
-    z runs over the bit masks of the ground (bit i for t.ground[i]) in
-    subsets() order, one budget step each.  The rank of the complement is
-    read from a table of greedy bases filled on first use
-    (Matroid.greedy_basis): one independence query per new mask, where
-    rank() makes one per element."""
+    z runs over the ground masks in subsets() order, one budget step each.
+    The rank of the complement is read from a table of greedy bases filled
+    on first use (Matroid.greedy_basis): one independence query per new
+    mask, where a fresh rank_mask() makes one per element."""
     budget = as_budget(cap)
     ground = t.ground
     full = (1 << len(ground)) - 1
@@ -295,7 +285,7 @@ def ground_sweep(t: TPolyhedron, cap: int | Budget | None = None) -> Verdict:
         for (which, note), demand in zip(SIDES.items(), t.demands(t.head_counts(z))):
             if rank_rest < demand:
                 return Verdict(False, Witness(
-                    "ground_subset", (tuple(e for e in ground if t.bit[e] & z), which),
+                    "ground_subset", (tuple(e for e in ground if t.matroid.bit[e] & z), which),
                     rank_rest, demand, note))
     return HOLDS
 
@@ -306,7 +296,7 @@ def ground_subset_sides(t: TPolyhedron, payload: tuple) -> tuple[int, int]:
     elems, which = payload
     if which not in SIDES:
         raise ValueError("which must be 'g' or 'f'")
-    demands = dict(zip(SIDES, t.demands(t.head_counts(t.mask(elems)))))
+    demands = dict(zip(SIDES, t.demands(t.head_counts(t.matroid.mask(elems)))))
     return t.rank(t.ground_set - frozenset(elems)), demands[which]
 
 
@@ -328,18 +318,16 @@ def t_contains(t: TPolyhedron, support: frozenset,
 def integer_points(t: TPolyhedron, cap: int | Budget | None = None):
     """All 0/1 members of T as supports, smallest first.
 
-    The t_contains test on bit masks of the ground (bit i for t.ground[i]):
-    supports and the subsets z checked against each run in subsets()
-    order, |support & z| is a bit count, and p(z) and b(z) come from a
+    The t_contains test on ground masks: supports and the subsets z
+    checked against each run in subsets() order, independence is asked by
+    mask, |support & z| is a bit count, and p(z) and b(z) come from a
     table filled by the first support that reaches z.  Budget steps are
     those of t_contains: one per support and one per z tried."""
     budget = as_budget(cap)
-    ground = t.ground
-    bits = low_bits(len(ground))
+    bits = low_bits(len(t.ground))
     pb: dict[int, tuple[int, int]] = {}
     for s in subset_masks(bits, budget=budget):
-        support = mask_items(ground, s)
-        if not t.matroid.independent(support):
+        if not t.matroid.independent_mask(s):
             continue
         for z in subset_masks(bits, budget=budget):
             low_high = pb.get(z)
@@ -348,7 +336,7 @@ def integer_points(t: TPolyhedron, cap: int | Budget | None = None):
             if not low_high[0] <= (s & z).bit_count() <= low_high[1]:
                 break
         else:
-            yield support
+            yield t.matroid.elements(s)
 
 
 def find_integer_point(t: TPolyhedron, cap: int | Budget | None = None
@@ -382,7 +370,7 @@ def violating_subpartition(t: TPolyhedron, elems: Iterable, which: str,
     "f" where it stays at most k - f(v))."""
     if which not in SIDES:
         raise ValueError("which must be 'g' or 'f'")
-    cnt, room = t.head_counts(t.mask(elems)), t.room[which]
+    cnt, room = t.head_counts(t.matroid.mask(elems)), t.room[which]
     parts, _ = t.matroid.rank_partition_argmin(
         t.ground_set - frozenset(elems), as_budget(cap))
     return tuple(x for x in parts if all(cnt[v] <= room[v] for v in x))

@@ -20,14 +20,14 @@ from .matroids import (
 )
 from .packing import Member, Packing, Pick
 from .setfuncs import SetFunctionOracle
-from .structures import Bounds, Instance, MixedHypergraph, RootMultiset
+from .structures import Bounds, Instance, MixedHypergraph, RootMultiset, mask_bits
 
 SCHEMA_VERSION = 1
 
-_INSTANCE_KEYS = {
-    "schema_version", "vertices", "hyperedges", "dyperedges",
-    "roots", "matroid", "bounds",
-}
+# the keys of each matroid kind's object besides "kind"
+_MATROID_KEYS = {"extended": ("k",), "ksum": ("k", "inner"), "free": (), "uniform": ("r",),
+                 "partition": ("blocks", "capacities"), "explicit": ("independent_sets",),
+                 "hypergraphic": ("vertex_sets",)}
 
 
 class SchemaError(ValueError):
@@ -37,6 +37,13 @@ class SchemaError(ValueError):
 def _require(cond: bool, msg: str) -> None:
     if not cond:
         raise SchemaError(msg)
+
+
+def _known_keys(doc: dict, keys: tuple[str, ...], what: str) -> None:
+    """Reject the keys of the object doc outside keys."""
+    bad = doc.keys() - keys
+    if bad:
+        raise SchemaError(f"unknown {what} fields {sorted(bad)}")
 
 
 def _is_int(x) -> bool:
@@ -78,13 +85,13 @@ def parse_matroid(doc, graph: MixedHypergraph, roots: RootMultiset | None,
                   idx: dict[str, int]) -> Matroid:
     _require(isinstance(doc, dict) and "kind" in doc, "matroid must be an object with a kind")
     kind = doc["kind"]
-    if kind == "extended":
-        _require(_is_int(doc.get("k")) and doc["k"] >= 1, "extended matroid needs k >= 1")
-        return ExtendedHypergraphicMatroid(graph, doc["k"])
-    if kind == "ksum":
-        _require(_is_int(doc.get("k")) and doc["k"] >= 1, "ksum matroid needs k >= 1")
-        inner = parse_matroid(doc.get("inner"), graph, roots, idx)
-        return KSumMatroid(inner, doc["k"])
+    _require(isinstance(kind, str) and kind in _MATROID_KEYS, f"unknown matroid kind {kind!r}")
+    _known_keys(doc, ("kind", *_MATROID_KEYS[kind]), f"{kind} matroid")
+    if kind in ("extended", "ksum"):
+        _require(_is_int(doc.get("k")) and doc["k"] >= 1, f"{kind} matroid needs k >= 1")
+        if kind == "extended":
+            return ExtendedHypergraphicMatroid(graph, doc["k"])
+        return KSumMatroid(parse_matroid(doc.get("inner"), graph, roots, idx), doc["k"])
     _require(roots is not None, f"matroid kind {kind!r} is grounded on root copies")
     ground = roots.copies()
     if kind == "free":
@@ -95,8 +102,9 @@ def parse_matroid(doc, graph: MixedHypergraph, roots: RootMultiset | None,
     if kind == "partition":
         blocks = doc.get("blocks")
         caps = doc.get("capacities")
-        _require(isinstance(blocks, list) and isinstance(caps, list)
-                 and len(blocks) == len(caps), "partition matroid needs blocks and capacities")
+        _require(isinstance(blocks, list) and isinstance(caps, list) and len(blocks) == len(caps)
+                 and all(_is_int(c) and c >= 0 for c in caps),
+                 "partition matroid needs blocks and capacities, integers at least 0")
         parsed = [frozenset(_copy_ref(r, idx, roots) for r in b) for b in blocks]
         return PartitionMatroid(ground, parsed, caps)
     if kind == "explicit":
@@ -104,18 +112,18 @@ def parse_matroid(doc, graph: MixedHypergraph, roots: RootMultiset | None,
         _require(isinstance(fam, list), "explicit matroid needs independent_sets")
         parsed = [frozenset(_copy_ref(r, idx, roots) for r in s) for s in fam]
         return ExplicitMatroid(ground, parsed)
-    if kind == "hypergraphic":
-        vsets = doc.get("vertex_sets")
-        _require(isinstance(vsets, list), "hypergraphic matroid needs vertex_sets")
-        table = {}
-        for entry in vsets:
-            _require(isinstance(entry, dict) and "element" in entry and "vertices" in entry,
-                     "each vertex_sets entry needs element and vertices")
-            e = _copy_ref(entry["element"], idx, roots)
-            table[e] = frozenset(_vertex(v, idx, "vertex_sets") for v in entry["vertices"])
-        _require(set(table) == set(ground), "vertex_sets must cover every root copy once")
-        return HypergraphicMatroid(ground, table)
-    raise SchemaError(f"unknown matroid kind {kind!r}")
+    # the one kind left: hypergraphic
+    vsets = doc.get("vertex_sets")
+    _require(isinstance(vsets, list), "hypergraphic matroid needs vertex_sets")
+    table = {}
+    for entry in vsets:
+        _require(isinstance(entry, dict) and "element" in entry and "vertices" in entry,
+                 "each vertex_sets entry needs element and vertices")
+        _known_keys(entry, ("element", "vertices"), "vertex_sets entry")
+        e = _copy_ref(entry["element"], idx, roots)
+        table[e] = frozenset(_vertex(v, idx, "vertex_sets") for v in entry["vertices"])
+    _require(set(table) == set(ground), "vertex_sets must cover every root copy once")
+    return HypergraphicMatroid(ground, table)
 
 
 def _vec(val, n: int, idx: dict[str, int], what: str) -> tuple[int, ...]:
@@ -131,8 +139,7 @@ def _vec(val, n: int, idx: dict[str, int], what: str) -> tuple[int, ...]:
 
 def parse_bounds(doc, n: int, idx: dict[str, int]) -> Bounds:
     _require(isinstance(doc, dict), "bounds must be an object")
-    bad = set(doc) - {"f", "g", "k", "l", "lprime"}
-    _require(not bad, f"unknown bounds fields {sorted(bad)}")
+    _known_keys(doc, ("f", "g", "k", "l", "lprime"), "bounds")
     kw = {}
     for name in ("f", "g"):
         if name in doc:
@@ -150,8 +157,8 @@ def parse_bounds(doc, n: int, idx: dict[str, int]) -> Bounds:
 def parse_instance(doc) -> tuple[Instance, tuple[str, ...]]:
     _require(isinstance(doc, dict), "instance document must be an object")
     _check_version(doc)
-    bad = set(doc) - _INSTANCE_KEYS
-    _require(not bad, f"unknown instance fields {sorted(bad)}")
+    _known_keys(doc, ("schema_version", "vertices", "hyperedges", "dyperedges",
+                      "roots", "matroid", "bounds"), "instance")
     names, idx = _names(doc)
     n = len(names)
 
@@ -165,6 +172,7 @@ def parse_instance(doc) -> tuple[Instance, tuple[str, ...]]:
     for a in doc.get("dyperedges", []):
         _require(isinstance(a, dict) and "tails" in a and "head" in a,
                  "each dyperedge must be {tails, head}")
+        _known_keys(a, ("tails", "head"), "dyperedge")
         _require(isinstance(a["tails"], list), "dyperedge tails must be a list of names")
         tails = frozenset(_vertex(v, idx, "dyperedge tails") for v in a["tails"])
         dyperedges.append((tails, _vertex(a["head"], idx, "dyperedge head")))
@@ -208,7 +216,7 @@ def matroid_to_doc(m: Matroid, names: tuple[str, ...]) -> dict:
     if isinstance(m, PartitionMatroid):
         return {
             "kind": "partition",
-            "blocks": [sorted(_ref_doc(c, names) for c in b) for b in m.blocks],
+            "blocks": [sorted(_ref_doc(c, names) for c in m.elements(b)) for b in m.block_masks],
             "capacities": list(m.capacities),
         }
     if isinstance(m, ExplicitMatroid):
@@ -220,8 +228,8 @@ def matroid_to_doc(m: Matroid, names: tuple[str, ...]) -> dict:
             "kind": "hypergraphic",
             "vertex_sets": [
                 {"element": _ref_doc(e, names),
-                 "vertices": sorted(names[v] for v in m.vertex_sets[e])}
-                for e in m.ground
+                 "vertices": sorted(names[v] for v in mask_bits(vs))}
+                for e, vs in zip(m.ground, m.vertex_masks)
             ],
         }
     raise ValueError(f"cannot serialize matroid of type {type(m).__name__}")
@@ -261,11 +269,14 @@ def instance_to_doc(inst: Instance, names: tuple[str, ...]) -> dict:
 def parse_packing(doc, names: tuple[str, ...]) -> Packing:
     _require(isinstance(doc, dict), "packing document must be an object")
     _check_version(doc)
+    # species is the label `arbopack pack` writes beside the members
+    _known_keys(doc, ("schema_version", "members", "species"), "packing")
     idx = {v: i for i, v in enumerate(names)}
     members = []
     _require(isinstance(doc.get("members"), list), "packing needs a members list")
     for mdoc in doc["members"]:
         _require(isinstance(mdoc, dict) and "root" in mdoc, "each member needs a root")
+        _known_keys(mdoc, ("root", "copy", "picks"), "member")
         root = _vertex(mdoc["root"], idx, "member root")
         copy = mdoc.get("copy", 0)
         _require(_is_int(copy) and copy >= 0, "member copy must be a nonnegative integer")
@@ -278,6 +289,7 @@ def parse_packing(doc, names: tuple[str, ...]) -> Packing:
                 and _is_int(pdoc.get("index")),
                 "each pick needs kind E|A and an index",
             )
+            _known_keys(pdoc, ("kind", "index", "tail", "head"), "pick")
             picks.append(Pick(
                 pdoc["kind"], pdoc["index"],
                 _vertex(pdoc.get("tail"), idx, "pick tail"),
@@ -319,6 +331,7 @@ def set_function_to_doc(fn: SetFunctionOracle, names: tuple[str, ...]) -> dict:
 def _element_list(doc) -> list:
     _require(isinstance(doc, dict) and isinstance(doc.get("elements"), list),
              "elements file needs an elements list")
+    _known_keys(doc, ("elements",), "elements file")
     return doc["elements"]
 
 
@@ -352,11 +365,13 @@ def parse_set_function(doc, names: tuple[str, ...]) -> SetFunctionOracle:
     covering every subset of the vertices."""
     _require(isinstance(doc, dict) and isinstance(doc.get("values"), list),
              "set function document needs a values list")
+    _known_keys(doc, ("values",), "set function")
     idx = {v: i for i, v in enumerate(names)}
     table: dict[frozenset[int], int] = {}
     for entry in doc["values"]:
         _require(isinstance(entry, dict) and "set" in entry and "value" in entry,
                  "each value entry needs set and value")
+        _known_keys(entry, ("set", "value"), "value entry")
         _require(_is_int(entry["value"]), "set function values must be integers")
         key = frozenset(_vertex(v, idx, "set function") for v in entry["set"])
         _require(key not in table, "duplicate set in set function table")

@@ -1,14 +1,15 @@
 """Rank oracles.
 
-All matroids expose a common interface: an ordered ground tuple, rank() on
-any subset of the ground, and independent().  Rank is computed by the greedy
-algorithm over the independence oracle except where a closed form exists;
-the explicit kind, whose input may fail the axioms, always uses exhaustive
-search so its rank stays well defined.
+All matroids expose a common interface over an ordered ground tuple.
+Inside, an element set is a bit mask (bit i for ground[i]): each kind
+writes its independence rule once, independent_mask(), and rank_mask() is
+the greedy over it (greedy_basis with a fresh table), exact for every kind
+here because each is a matroid; the explicit kind's list is checked
+against the axioms at construction.  mask() is the one ground check, and
+rank() and independent() are the frozenset forms for the boundary.
 """
 from __future__ import annotations
 
-import itertools
 from collections.abc import Iterable, Sequence
 
 from .structures import (
@@ -21,48 +22,58 @@ from .structures import (
     entering_mask,
     low_bits,
     mask_items,
+    mask_union,
     mask_vertices,
-    memo,
     partition_masks,
     subset_masks,
+    vertex_mask,
 )
 
 
 class Matroid:
-    """Base rank oracle over a finite ground tuple of distinct elements."""
+    """Base rank oracle over a finite ground tuple of distinct elements;
+    bit[e] is the bit of element e."""
 
     kind = "abstract"
 
     def __init__(self, ground: Iterable):
         self.ground = tuple(ground)
-        self.ground_set = frozenset(self.ground)
+        self.bit = {e: 1 << i for i, e in enumerate(self.ground)}
+        if len(self.bit) != len(self.ground):
+            raise ValueError("ground elements must be distinct")
 
-    def _check(self, zs: Iterable) -> frozenset:
-        z = frozenset(zs)
-        unknown = z - self.ground_set
-        if unknown:
-            raise ValueError(f"elements not in the ground: {sorted(map(repr, unknown))}")
-        return z
+    def mask(self, zs: Iterable) -> int:
+        """The bit mask of an element set of the ground."""
+        try:
+            return sum({self.bit[e] for e in zs})
+        except KeyError as exc:
+            raise ValueError(f"element not in the ground: {exc.args[0]!r}") from None
+
+    def elements(self, z: int) -> frozenset:
+        """The element set of the mask z; mask() inverts it."""
+        return mask_items(self.ground, z)
 
     def independent(self, zs: Iterable) -> bool:
-        return self._indep(self._check(zs))
+        return self.independent_mask(self.mask(zs))
 
     def rank(self, zs: Iterable) -> int:
-        z = self._check(zs)
-        # greedy over the independence oracle; valid because this is a matroid
-        picked: set = set()
-        for e in self.ground:
-            if e in z and self._indep(frozenset(picked | {e})):
-                picked.add(e)
-        return len(picked)
+        return self.rank_mask(self.mask(zs))
+
+    def full_rank(self) -> int:
+        return self.rank_mask((1 << len(self.ground)) - 1)
+
+    def independent_mask(self, z: int) -> bool:
+        raise NotImplementedError
+
+    def rank_mask(self, z: int) -> int:
+        return self.greedy_basis({0: 0}, z).bit_count()
 
     def greedy_basis(self, table: dict[int, int], mask: int) -> int:
-        """The basis rank()'s greedy picks from the elements of mask, as a
-        mask (bit i for ground[i]): the basis of mask minus its last
-        element, plus that element when the two are independent together.
-        table maps masks to their bases and must hold {0: 0}; it gains mask
-        and each prefix of mask it lacks, one independence query each, the
-        query rank()'s greedy makes for that element."""
+        """The greedy basis of the elements of mask, taken in ground order,
+        as a mask: the basis of mask minus its last element, plus that
+        element when the two are independent together.  table maps masks
+        to their bases and must hold {0: 0}; it gains mask and each prefix
+        of mask it lacks, one independence query each."""
         chain = []
         while mask not in table:
             chain.append(mask)
@@ -70,25 +81,16 @@ class Matroid:
         basis = table[mask]
         for prefix in reversed(chain):
             top = 1 << (prefix.bit_length() - 1)
-            if self._indep(mask_items(self.ground, basis | top)):
+            if self.independent_mask(basis | top):
                 basis |= top
             table[prefix] = basis
         return basis
-
-    def _indep(self, z: frozenset) -> bool:
-        raise NotImplementedError
-
-    def full_rank(self) -> int:
-        return self.rank(self.ground)
 
 
 class FreeMatroid(Matroid):
     kind = "free"
 
-    def rank(self, zs: Iterable) -> int:
-        return len(self._check(zs))
-
-    def _indep(self, z: frozenset) -> bool:
+    def independent_mask(self, z: int) -> bool:
         return True
 
 
@@ -101,40 +103,33 @@ class UniformMatroid(Matroid):
         super().__init__(ground)
         self.r = r
 
-    def rank(self, zs: Iterable) -> int:
-        return min(len(self._check(zs)), self.r)
-
-    def _indep(self, z: frozenset) -> bool:
-        return len(z) <= self.r
+    def independent_mask(self, z: int) -> bool:
+        return z.bit_count() <= self.r
 
 
 class PartitionMatroid(Matroid):
-    """Ground split into blocks, each with a capacity."""
+    """Ground split into blocks (block_masks), each with a capacity."""
 
     kind = "partition"
 
     def __init__(self, ground: Iterable, blocks: Sequence[Iterable], capacities: Sequence[int]):
         super().__init__(ground)
-        self.blocks = tuple(frozenset(b) for b in blocks)
+        self.block_masks = tuple(self.mask(b) for b in blocks)
         self.capacities = tuple(int(c) for c in capacities)
-        if len(self.blocks) != len(self.capacities):
+        if len(self.block_masks) != len(self.capacities):
             raise ValueError("one capacity per block required")
         if any(c < 0 for c in self.capacities):
             raise ValueError("capacities must be nonnegative")
-        union: set = set()
-        for b in self.blocks:
+        union = 0
+        for b in self.block_masks:
             if b & union:
                 raise ValueError("blocks must be disjoint")
             union |= b
-        if union != self.ground_set:
+        if union != (1 << len(self.ground)) - 1:
             raise ValueError("blocks must cover the ground exactly")
 
-    def rank(self, zs: Iterable) -> int:
-        z = self._check(zs)
-        return sum(min(len(z & b), c) for b, c in zip(self.blocks, self.capacities))
-
-    def _indep(self, z: frozenset) -> bool:
-        return all(len(z & b) <= c for b, c in zip(self.blocks, self.capacities))
+    def independent_mask(self, z: int) -> bool:
+        return all((z & b).bit_count() <= c for b, c in zip(self.block_masks, self.capacities))
 
 
 class ExplicitMatroid(Matroid):
@@ -149,9 +144,7 @@ class ExplicitMatroid(Matroid):
     def __init__(self, ground: Iterable, independent_sets: Iterable[Iterable]):
         super().__init__(ground)
         self.family = frozenset(frozenset(s) for s in independent_sets)
-        for s in self.family:
-            if s - self.ground_set:
-                raise ValueError("independent set uses elements not in the ground")
+        self.family_masks = frozenset(self.mask(s) for s in self.family)
         problem = self._axiom_problem()
         if problem:
             raise ValueError(f"independence list is not a matroid: {problem}")
@@ -170,41 +163,47 @@ class ExplicitMatroid(Matroid):
                         return f"exchange fails for {sorted(a)} and {sorted(b)}"
         return None
 
-    def rank(self, zs: Iterable) -> int:
-        z = self._check(zs)
-        return max((len(s) for s in self.family if s <= z), default=0)
-
-    def _indep(self, z: frozenset) -> bool:
-        return z in self.family
+    def independent_mask(self, z: int) -> bool:
+        return z in self.family_masks
 
 
 class HypergraphicMatroid(Matroid):
-    """Matroid of a hypergraph: a set of hyperedges is independent iff every
-    nonempty subset spans more vertices than it has elements."""
+    """Matroid of a hypergraph on vertices 0..n-1: a set of hyperedges is
+    independent iff every nonempty subset spans more vertices than it has
+    elements.  vertex_masks[i] is the vertex mask of ground[i]; answers
+    holds the rule's answer per ground mask asked."""
 
     kind = "hypergraphic"
 
     def __init__(self, ground: Iterable, vertex_sets: dict):
         super().__init__(ground)
-        self.vertex_sets = {e: frozenset(vertex_sets[e]) for e in self.ground}
-        if any(len(vs) < 2 for vs in self.vertex_sets.values()):
+        self.vertex_masks = tuple(vertex_mask(vertex_sets[e]) for e in self.ground)
+        if any(vs.bit_count() < 2 for vs in self.vertex_masks):
             raise ValueError("hyperedges must span at least 2 vertices")
+        self.answers: dict[int, bool] = {}
 
-    @memo
-    def _indep(self, z: frozenset) -> bool:
-        for r in range(1, len(z) + 1):
-            for combo in itertools.combinations(sorted(z, key=repr), r):
-                spanned: frozenset[int] = frozenset()
-                for e in combo:
-                    spanned |= self.vertex_sets[e]
-                if len(spanned) <= len(combo):
-                    return False
+    def independent_mask(self, z: int) -> bool:
+        got = self.answers.get(z)
+        if got is None:
+            got = self.answers[z] = self._spans_enough(z)
+        return got
+
+    def _spans_enough(self, z: int) -> bool:
+        """Does every nonempty subset of z span more vertices than it has
+        elements?"""
+        sub = z
+        while sub:
+            if mask_union(self.vertex_masks, sub).bit_count() <= sub.bit_count():
+                return False
+            sub = (sub - 1) & z
         return True
 
 
 class KSumMatroid(Matroid):
     """Sum of k copies of an inner matroid: independent iff the set splits
-    into k sets each independent in the inner matroid."""
+    into k sets each independent in the inner matroid.  The ground and its
+    bits are the inner matroid's; answers holds the rule's answer per
+    ground mask asked."""
 
     kind = "ksum"
 
@@ -214,30 +213,31 @@ class KSumMatroid(Matroid):
         super().__init__(inner.ground)
         self.inner = inner
         self.k = k
+        self.answers: dict[int, bool] = {}
 
-    @memo
-    def _indep(self, z: frozenset) -> bool:
-        return self._place(sorted(z, key=repr), [], 0)
+    def independent_mask(self, z: int) -> bool:
+        got = self.answers.get(z)
+        if got is None:
+            got = self.answers[z] = self._place(z, [0] * self.k)
+        return got
 
-    def _place(self, items: list, bins: list[set], i: int) -> bool:
-        """Can items[i:] join the bins, opening at most k in all, with every
-        bin independent in the inner matroid?  A method, not a nested
-        function: a recursive closure is a reference cycle that keeps this
-        matroid and its memo alive until the cyclic collector runs."""
-        if i == len(items):
+    def _place(self, z: int, bins: list[int]) -> bool:
+        """Can the elements of z, lowest first, join the k bins (masks, the
+        nonempty ones first; the first empty one stands for all) with every
+        bin independent in the inner matroid?  A method: a recursive closure
+        is a reference cycle that keeps this matroid alive until the cyclic
+        collector runs."""
+        if not z:
             return True
-        for b in bins:
-            b.add(items[i])
-            if self.inner.independent(b) and self._place(items, bins, i + 1):
-                b.discard(items[i])
-                return True
-            b.discard(items[i])
-        if len(bins) < self.k:
-            bins.append({items[i]})
-            if self.inner.independent(bins[-1]) and self._place(items, bins, i + 1):
-                bins.pop()
-                return True
-            bins.pop()
+        low = z & -z
+        for i, b in enumerate(bins):
+            if self.inner.independent_mask(b | low):
+                bins[i] = b | low
+                if self._place(z ^ low, bins):
+                    return True  # the bins are dropped on success
+                bins[i] = b
+            if not b:
+                return False
         return False
 
 
@@ -255,11 +255,8 @@ def extended_ground(f: MixedHypergraph) -> tuple:
     hyperedge i oriented toward head.  Copies of one hyperedge are mutually
     parallel in the extended matroid.
     """
-    out = [(ARC, j) for j in range(len(f.dyperedges))]
-    for i, e in enumerate(f.hyperedges):
-        for head in sorted(e):
-            out.append((COPY, i, head))
-    return tuple(out)
+    return (tuple((ARC, j) for j in range(len(f.dyperedges)))
+            + tuple((COPY, i, head) for i, e in enumerate(f.hyperedges) for head in sorted(e)))
 
 
 def element_head(f: MixedHypergraph, elem: tuple) -> int:
@@ -273,9 +270,11 @@ class ExtendedHypergraphicMatroid(Matroid):
     hypergraph, with every hyperedge replaced by its parallel oriented
     copies.
 
-    rank() answers through the independence search; rank_partition_argmin()
-    and rank_by_partition_formula() answer through the partition minimum,
-    for cross-checking.
+    origin_bits[i] is the bit, in the underlying matroid, of the dyperedge
+    or hyperedge that ground[i] comes from.  rank() answers through the
+    independence rule; rank_partition_argmin() and
+    rank_by_partition_formula() answer through the partition minimum, for
+    cross-checking.
     """
 
     kind = "extended"
@@ -288,24 +287,15 @@ class ExtendedHypergraphicMatroid(Matroid):
         self.k = k
         # underlying hypergraph: one element per dyperedge (tails plus head)
         # and one per hyperedge, shared by all of its copies
-        uids = [(ARC, j) for j in range(len(f.dyperedges))]
         vsets = {(ARC, j): tails | {head} for j, (tails, head) in enumerate(f.dyperedges)}
-        for i, e in enumerate(f.hyperedges):
-            uids.append((COPY, i))
-            vsets[(COPY, i)] = e
-        self.underlying = KSumMatroid(HypergraphicMatroid(uids, vsets), k)
+        vsets.update({(COPY, i): e for i, e in enumerate(f.hyperedges)})
+        self.underlying = KSumMatroid(HypergraphicMatroid(vsets, vsets), k)
+        self.origin_bits = tuple(self.underlying.bit[e[:2]] for e in self.ground)
 
-    def origin(self, elem: tuple) -> tuple:
-        """Underlying-hypergraph element of an extended-ground element."""
-        if elem[0] == ARC:
-            return (ARC, elem[1])
-        return (COPY, elem[1])
-
-    def _indep(self, z: frozenset) -> bool:
-        origins = [self.origin(e) for e in z]
-        if len(set(origins)) < len(origins):
-            return False  # two copies of one hyperedge are parallel
-        return self.underlying.independent(origins)
+    def independent_mask(self, z: int) -> bool:
+        origins = mask_union(self.origin_bits, z)
+        # fewer origins than elements: two copies of one hyperedge, parallel
+        return origins.bit_count() == z.bit_count() and self.underlying.independent_mask(origins)
 
     def rank_partition_argmin(self, zs: Iterable, cap: int | Budget | None = None
                               ) -> tuple[tuple[frozenset[int], ...], int]:
@@ -313,12 +303,11 @@ class ExtendedHypergraphicMatroid(Matroid):
         entering the partition) + (hyperedges with a copy in z entering the
         partition) + k * (n - number of classes), with that minimum: the
         rank of z."""
-        z = self._check(zs)
         f = self.f
         # the elements of f with a copy in z, each once
-        z_graph = MixedHypergraph(
-            f.n, tuple(f.hyperedges[i] for i in sorted({e[1] for e in z if e[0] == COPY})),
-            tuple(f.dyperedges[j] for j in sorted({e[1] for e in z if e[0] == ARC})))
+        used = sorted(self.underlying.elements(mask_union(self.origin_bits, self.mask(zs))))
+        z_graph = MixedHypergraph(f.n, tuple(f.hyperedges[i] for kind, i in used if kind == COPY),
+                                  tuple(f.dyperedges[j] for kind, j in used if kind == ARC))
 
         def value(parts: tuple[int, ...]) -> int:
             return self.k * (f.n - len(parts)) + entering_mask(z_graph, parts)
@@ -342,15 +331,15 @@ def check_rank_axioms(m: Matroid, cap: int | Budget | None = None) -> Verdict:
     Intended for small grounds; raises CapExceededError when the pair
     enumeration would outgrow the budget.
 
-    Subsets are bit masks over the ground (bit i for ground[i]) visited in
-    subsets() order; witnesses carry them back as frozensets.  The
-    monotonicity pass asks the oracle for each subset once, at the first
-    (Z, e) pair that reaches it, and the submodularity pass reads those
-    ranks from the table.  Budget steps are as for a frozenset sweep: one
-    per subset in each pass, one per (Z, e) pair and one per (X, Y) pair."""
+    Subsets are ground masks visited in subsets() order; witnesses carry
+    them back as frozensets.  The monotonicity pass asks rank_mask for each
+    subset once, at the first (Z, e) pair that reaches it, and the
+    submodularity pass reads those ranks from the table.  Budget steps are
+    as for a frozenset sweep: one per subset in each pass, one per (Z, e)
+    pair and one per (X, Y) pair."""
     budget = as_budget(cap)
     ground = m.ground
-    r = {0: m.rank(())}
+    r = {0: m.rank_mask(0)}
     if r[0] != 0:
         return Verdict(False, Witness("subset", (frozenset(),), lhs=r[0], rhs=0,
                                       note="rank of the empty set"))
@@ -365,9 +354,9 @@ def check_rank_axioms(m: Matroid, cap: int | Budget | None = None) -> Verdict:
             budget.spend()
             re = r.get(z | bit)
             if re is None:
-                re = r[z | bit] = m.rank(mask_items(ground, z | bit))
+                re = r[z | bit] = m.rank_mask(z | bit)
             if not rz <= re <= rz + 1:
-                return Verdict(False, Witness("pair", (mask_items(ground, z), frozenset({e})),
+                return Verdict(False, Witness("pair", (m.elements(z), frozenset({e})),
                                               lhs=re, rhs=rz, note="unit monotonicity"))
     for x in order:
         budget.spend()
@@ -375,7 +364,7 @@ def check_rank_axioms(m: Matroid, cap: int | Budget | None = None) -> Verdict:
         for y in order:
             budget.spend()
             if rx + r[y] < r[x & y] + r[x | y]:
-                return Verdict(False, Witness("pair", (mask_items(ground, x), mask_items(ground, y)),
+                return Verdict(False, Witness("pair", (m.elements(x), m.elements(y)),
                                               lhs=rx + r[y], rhs=r[x & y] + r[x | y],
                                               note="submodularity"))
     return Verdict(True)

@@ -213,10 +213,10 @@ def _counting_rule(f: MixedHypergraph, spec: PackingSpec) -> Callable[..., Witne
         if not known.issuperset(pairs):
             raise ValueError("member root copies outside the root multiset")
         for v in range(n):
-            at_v = tuple(pair for pair, m in zip(pairs, masks) if m >> v & 1)
+            at_v = sum(matroid.bit[pair] for pair, m in zip(pairs, masks) if m >> v & 1)
             want = rank(reaching[v])
-            if len(at_v) != want or not matroid.independent(at_v):
-                return Witness("vertex", (v,), len(at_v), want,
+            if at_v.bit_count() != want or not matroid.independent_mask(at_v):
+                return Witness("vertex", (v,), at_v.bit_count(), want,
                                "roots of the members at the vertex are not a basis")
         return None
     return rule
@@ -534,7 +534,7 @@ def main_pack(f: MixedHypergraph, bounds: Bounds,
                 "empty polyhedron but the subpartition condition holds")
         return verdict
 
-    root_counts = [bounds.k - c for c in t.head_counts(t.mask(point))]
+    root_counts = [bounds.k - c for c in t.head_counts(t.matroid.mask(point))]
     if any(c < 0 for c in root_counts):
         raise PropertyViolationError("integer point exceeds the in-degree budget")
     dz = MixedHypergraph(f.n, (), tuple(

@@ -14,8 +14,8 @@ fields, witness payloads and the frozenset wrappers ``in_degree``,
 ``entering_count``, ``reach_from``, ``reach_to``, ``subsets`` and
 ``subpartitions``.
 Derived data (reachability, strongly connected components) is memoized on
-the instance.  The ``memo`` decorator caches the g-polymatroid and matroid
-oracles (set functions keep a table by mask, see ``setfuncs``).
+the instance.  The ``memo`` decorator caches ``GPoly.p`` and ``GPoly.b``;
+set functions and matroids keep their own tables by mask.
 ``check_inputs`` validates what an ``Instance`` gives a reader.
 """
 from __future__ import annotations
@@ -462,10 +462,12 @@ class RootMultiset:
         return tuple(c for c in self._copies if c[0] in xs)
 
     def ranker(self, matroid: Matroid) -> Callable[[int], int]:
-        """matroid.rank of the copies on a vertex mask, asked once per trace
-        of the mask on the support (no matroid rank spends budget)."""
-        support = sum(bit for bit, _ in self.weights)
-        rank = functools.cache(lambda x: matroid.rank(self.restrict(mask_bits(x))))
+        """matroid's rank of the copies on a vertex mask, asked once per
+        trace of the mask on the support (no matroid rank spends budget)."""
+        copies = [(1 << v, matroid.mask((v, i) for i in range(c)))
+                  for v, c in enumerate(self.counts) if c]
+        support = sum(bit for bit, _ in copies)
+        rank = functools.cache(lambda x: matroid.rank_mask(sum(z for bit, z in copies if x & bit)))
         return lambda x: rank(x & support)
 
     def size_of(self, x: int) -> int:
@@ -552,7 +554,7 @@ def check_inputs(inst: Instance, what: str, graph: str = "mixed_hypergraph",
     if "matroid" in needs:
         if inst.matroid is None:
             raise ValueError(f"{what} needs a matroid on the root multiset")
-        if frozenset(inst.matroid.ground) != frozenset(inst.roots.copies()):
+        if inst.matroid.bit.keys() != set(inst.roots.copies()):
             raise ValueError("matroid ground must be exactly the root copies")
     if "h" in needs and inst.h is None:
         raise ValueError(f"{what} needs a set function h")
@@ -632,6 +634,16 @@ def mask_sum(weights: Sequence[int], mask: int) -> int:
         total += weights[low.bit_length() - 1]
         mask ^= low
     return total
+
+
+def mask_union(masks: Sequence[int], mask: int) -> int:
+    """Union of masks[i] over the bits i of mask."""
+    union = 0
+    while mask:
+        low = mask & -mask
+        union |= masks[low.bit_length() - 1]
+        mask ^= low
+    return union
 
 
 def mask_items(items: Sequence, mask: int) -> frozenset:

@@ -11,7 +11,9 @@ from arbopack import (
     instance_to_doc,
     packing_to_doc,
     parse_instance,
+    parse_extended_elements,
     parse_packing,
+    parse_root_copies,
     parse_set_function,
     set_function_to_doc,
 )
@@ -207,6 +209,80 @@ class TestMalformedDocuments:
         assert err.startswith("error: ") and "Traceback" not in err
 
 
+NAMES = ("a", "b", "c")
+
+
+def packing_doc(top=(), member=(), pick=()):
+    """A one-member, one-pick packing document with extra keys."""
+    return {"schema_version": SCHEMA_VERSION, **dict(top), "members": [
+        {"root": "a", **dict(member),
+         "picks": [{"kind": "A", "index": 0, "tail": "a", "head": "b", **dict(pick)}]}]}
+
+
+def hypergraphic_doc(**extra):
+    return base_doc(roots={"a": 1}, matroid={"kind": "hypergraphic", "vertex_sets": [
+        {"element": "a", "vertices": ["a", "b"], **extra}]})
+
+
+def _value_table(**extra):
+    return {"values": [{"set": [], "value": 0, **extra}, {"set": ["a"], "value": 1}]}
+
+
+# one object with an unknown key per JSON object reader
+UNKNOWN_KEYS = {
+    "instance": lambda: parse_instance(base_doc(surprise=1)),
+    "bounds": lambda: parse_instance(base_doc(bounds={"f": 0, "g": 1, "k": 1, "zz": 2})),
+    "dyperedge": lambda: parse_instance(base_doc(
+        dyperedges=[{"tails": ["a"], "head": "b", "weight": 3}])),
+    "matroid": lambda: parse_instance(base_doc(
+        roots={"a": 1}, matroid={"kind": "uniform", "r": 1, "rank": 1})),
+    "inner-matroid": lambda: parse_instance(base_doc(
+        roots={"a": 1}, matroid={"kind": "ksum", "k": 2, "inner": {"kind": "free", "r": 1}})),
+    "extended-matroid": lambda: parse_instance(base_doc(matroid={"kind": "extended", "k": 1,
+                                                                 "r": 1})),
+    "vertex-sets-entry": lambda: parse_instance(hypergraphic_doc(weight=1)),
+    "packing": lambda: parse_packing(packing_doc(top={"extra": 1}), NAMES),
+    "member": lambda: parse_packing(packing_doc(member={"pics": []}), NAMES),
+    "pick": lambda: parse_packing(packing_doc(pick={"weight": 1}), NAMES),
+    "root-copies": lambda: parse_root_copies({"elements": [], "extra": 1}, NAMES,
+                                             parse_instance(base_doc(roots={"a": 1}))[0].roots),
+    "extended-elements": lambda: parse_extended_elements({"elements": [], "extra": 1}, NAMES),
+    "set-function": lambda: parse_set_function({**_value_table(), "label": "h"}, ("a",)),
+    "value-entry": lambda: parse_set_function(_value_table(weight=1), ("a",)),
+}
+
+
+class TestUnknownKeys:
+    """Every JSON object reader rejects keys it does not know, instead of
+    dropping them: a misspelled key is an input error, not a default."""
+
+    @pytest.mark.parametrize("parse", UNKNOWN_KEYS.values(), ids=UNKNOWN_KEYS.keys())
+    def test_schema_error(self, parse):
+        with pytest.raises(SchemaError, match="unknown .* fields"):
+            parse()
+
+    def test_known_keys_still_parse(self):
+        assert parse_instance(hypergraphic_doc())[0].matroid.kind == "hypergraphic"
+        assert len(parse_packing(packing_doc(member={"copy": 0}), NAMES).members) == 1
+        assert parse_set_function(_value_table(), ("a",))(frozenset({0})) == 1
+
+    def test_misspelled_picks_exits_2(self, tmp_path, capsys):
+        inst, pack = tmp_path / "i.json", tmp_path / "p.json"
+        inst.write_text(json.dumps(base_doc(roots={"a": 1})))
+        pack.write_text(json.dumps({"members": [{"root": "a", "pics": []}], "extra": 1}))
+        argv = ["verify", "--spec", "spanning", "--instance", str(inst), "--packing", str(pack)]
+        assert main(argv) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: unknown packing fields ['extra']")
+
+
+@pytest.mark.parametrize("caps", [[1.5], ["1"], [True], [-1]], ids=["float", "string", "bool", "negative"])
+def test_partition_capacities_are_nonnegative_integers(caps):
+    doc = base_doc(roots={"a": 1}, matroid={"kind": "partition", "blocks": [["a"]],
+                                            "capacities": caps})
+    with pytest.raises(SchemaError, match="capacities, integers at least 0"):
+        parse_instance(doc)
+
+
 class TestPackingDocs:
     def test_round_trip(self):
         doc = base_doc(roots={"a": 1})
@@ -386,6 +462,13 @@ class TestCli:
                      "--output", "json"])
         assert code == EXIT_OK
         assert json.loads(capsys.readouterr().out)["rank"] == by_formula
+
+    def test_rank_formula_needs_extended_k(self, write_json, capsys):
+        doc = two_isolated()
+        doc["matroid"] = {"kind": "uniform", "r": 1}
+        path = write_json("i.json", doc)
+        assert main(["rank", "--instance", path, "--formula"]) == EXIT_USAGE
+        assert capsys.readouterr().err == "error: --formula needs --extended-k\n"
 
     @pytest.mark.parametrize("element", [["E", 0], [], ["A", [1]]])
     def test_rank_extended_malformed_element(self, write_json, capsys, element):

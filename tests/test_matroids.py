@@ -1,6 +1,7 @@
 """Rank oracles: construction validation, hand-checked ranks, the rank
 axioms, and the two routes to the extended hypergraphic rank."""
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -202,8 +203,8 @@ class RankOracle(FreeMatroid):
         super().__init__(ground)
         self.fn = fn
 
-    def rank(self, z):
-        return self.fn(frozenset(z))
+    def rank_mask(self, z):
+        return self.fn(self.elements(z))
 
 
 S = frozenset
@@ -244,9 +245,8 @@ class TestRankAxiomChecker:
 
     def test_catches_non_submodular_oracle(self):
         class Broken(FreeMatroid):
-            def rank(self, z):
-                z = frozenset(z)
-                return len(z) ** 2  # superadditive, not submodular
+            def rank_mask(self, z):
+                return z.bit_count() ** 2  # superadditive, not submodular
 
         verdict = check_rank_axioms(Broken("ab"))
         assert not verdict.holds
@@ -269,3 +269,94 @@ class TestRankAxiomChecker:
         )
         m = PartitionMatroid(ground, blocks, caps)
         assert check_rank_axioms(m).holds
+
+
+# ---------------------------------------------------------------------------
+# every kind against a frozenset brute force of its own definition
+
+
+def ref_hypergraphic(vertex_sets):
+    """Independent iff every nonempty subset spans more vertices than it
+    has elements."""
+    def indep(z):
+        return all(len(set().union(*(vertex_sets[e] for e in sub))) > len(sub)
+                   for sub in subsets(z, include_empty=False))
+    return indep
+
+
+def ref_ksum(inner, k):
+    """Independent iff some split into k sets is independent in inner."""
+    def indep(z):
+        items = sorted(z, key=repr)
+        return any(all(inner(frozenset(e for e, b in zip(items, label) if b == i))
+                       for i in range(k))
+                   for label in itertools.product(range(k), repeat=len(items)))
+    return indep
+
+
+def ref_extended(f, k):
+    """No two copies of one hyperedge, and the elements they come from
+    independent in the k-sum of the underlying hypergraph."""
+    vsets = {("A", j): tails | {head} for j, (tails, head) in enumerate(f.dyperedges)}
+    vsets.update({("E", i): e for i, e in enumerate(f.hyperedges)})
+    underlying = ref_ksum(ref_hypergraphic(vsets), k)
+
+    def indep(z):
+        origins = {e[:2] for e in z}
+        return len(origins) == len(z) and underlying(frozenset(origins))
+    return indep
+
+
+def kinds_grid():
+    """(matroid, reference independence) for every kind on grounds of up
+    to 5 elements."""
+    rng = random.Random(11)
+    for size in range(6):
+        ground = tuple(f"e{i}" for i in range(size))
+        yield FreeMatroid(ground), lambda z: True
+        for r in range(size + 2):
+            yield UniformMatroid(ground, r), lambda z, r=r: len(z) <= r
+        for _ in range(3):
+            label = [rng.randrange(3) for _ in ground]
+            blocks = [frozenset(e for e, b in zip(ground, label) if b == i) for i in range(3)]
+            caps = [rng.randrange(3) for _ in blocks]
+
+            def part(z, blocks=blocks, caps=caps):
+                return all(len(z & b) <= c for b, c in zip(blocks, caps))
+            yield PartitionMatroid(ground, blocks, caps), part
+            yield ExplicitMatroid(ground, [z for z in subsets(ground) if part(z)]), part
+        for _ in range(3):
+            vsets = {e: frozenset(rng.sample(range(4), rng.randint(2, 3))) for e in ground}
+            hyper = ref_hypergraphic(vsets)
+            yield HypergraphicMatroid(ground, vsets), hyper
+            yield ExplicitMatroid(ground, [z for z in subsets(ground) if hyper(z)]), hyper
+            for k in (1, 2):
+                yield KSumMatroid(HypergraphicMatroid(ground, vsets), k), ref_ksum(hyper, k)
+            yield KSumMatroid(UniformMatroid(ground, 1), 2), lambda z: len(z) <= 2
+    for f in (mh(3, [{0, 1}], [({0}, 1), ({1}, 2)]), mh(3, [{0, 1, 2}], [({0}, 2), ({1}, 2)]),
+              mh(2, [{0, 1}, {0, 1}], [({0}, 1)]), mh(3, [{0, 1}, {1, 2}], [({2}, 0)])):
+        for k in (1, 2):
+            yield ExtendedHypergraphicMatroid(f, k), ref_extended(f, k)
+
+
+class TestKindsAgainstDefinitions:
+    def test_every_subset_of_every_kind(self):
+        kinds = set()
+        for m, indep in kinds_grid():
+            kinds.add(m.kind)
+            assert len(m.ground) <= 5
+            bases = {0: 0}
+            for z in range(1 << len(m.ground)):
+                zs = frozenset(e for i, e in enumerate(m.ground) if z >> i & 1)
+                want = max(len(s) for s in subsets(zs) if indep(s))
+                greedy = frozenset()
+                for e in m.ground:
+                    if e in zs and indep(greedy | {e}):
+                        greedy |= {e}
+                assert m.independent(zs) == m.independent_mask(z) == indep(zs), (m.kind, zs)
+                assert m.rank(zs) == m.rank_mask(z) == want, (m.kind, zs)
+                assert m.greedy_basis(bases, z) == m.greedy_basis({0: 0}, z) == m.mask(greedy)
+                if m.kind == "extended":
+                    assert m.rank_partition_argmin(zs)[1] == want, zs
+        assert kinds == {"free", "uniform", "partition", "explicit", "hypergraphic",
+                         "ksum", "extended"}

@@ -71,14 +71,15 @@ def test_every_import_is_used():
     assert [bad for p in paths for bad in _unused_imports(p)] == []
 
 
-def test_set_function_layer_stays_on_masks():
-    """The set-function checks, the orientation engines and the packing
-    rules and search sweep vertex masks; the frozenset enumerators and
-    counters are for the boundary."""
+def test_mask_layers_stay_on_masks():
+    """The set-function checks, the orientation engines, the packing rules
+    and search, and the matroid oracles work on vertex or ground masks;
+    the frozenset enumerators and counters and RootMultiset.restrict are
+    for the boundary."""
     frozenset_helpers = {"subsets", "subpartitions", "set_partitions", "in_degree",
-                         "entering_count", "reach_to", "reach_from"}
+                         "entering_count", "reach_to", "reach_from", "restrict"}
     called = []
-    for name in ("setfuncs.py", "orientation.py", "packing.py"):
+    for name in ("setfuncs.py", "orientation.py", "packing.py", "matroids.py"):
         tree = ast.parse((ROOT / "src" / "arbopack" / name).read_text(encoding="utf-8"))
         for node in ast.walk(tree):
             if isinstance(node, ast.Call):

@@ -365,9 +365,15 @@ def _triangle():
 MEMOIZED = [
     (GPoly, "p", lambda: GPoly(range(3), len, lambda z: 2 * len(z))),
     (GPoly, "b", lambda: GPoly(range(3), len, lambda z: 2 * len(z))),
-    (HypergraphicMatroid, "_indep", _triangle),
-    (KSumMatroid, "_indep", lambda: KSumMatroid(_triangle(), 2)),
 ]
+# the matroid kinds that keep an answer table by ground mask: the method
+# holding the rule, a factory, and which calls are the rule's own asks
+# (k-sum's _place recurses with a nonempty bin)
+TABLED = {
+    "hypergraphic": (HypergraphicMatroid, "_spans_enough", _triangle, lambda: True),
+    "ksum": (KSumMatroid, "_place", lambda: KSumMatroid(_triangle(), 2),
+             lambda bins: not any(bins)),
+}
 
 
 class TestMemo:
@@ -389,6 +395,23 @@ class TestMemo:
             values = [getattr(obj, name)(z) for z in keys]
             assert [getattr(obj, name)(sorted(z, key=repr)) for z in keys] == values
             assert [z for owner, z in runs if owner is obj] == keys
+
+    @pytest.mark.parametrize("cls, name, make, asks", TABLED.values(), ids=TABLED.keys())
+    def test_matroid_rule_asked_once_per_mask(self, monkeypatch, cls, name, make, asks):
+        rule = vars(cls)[name]
+        asked = []
+
+        def recording(obj, z, *rest):
+            if asks(*rest):
+                asked.append((obj, z))
+            return rule(obj, z, *rest)
+
+        monkeypatch.setattr(cls, name, recording)
+        for obj in (make(), make()):
+            masks = range(1 << len(obj.ground))
+            answers = [obj.independent_mask(z) for z in masks]
+            assert [obj.independent(obj.elements(z)) for z in masks] == answers
+            assert [z for owner, z in asked if owner is obj] == list(masks)
 
     def test_rejected_key_is_checked_on_every_call(self):
         q = GPoly(range(2), len, len)
