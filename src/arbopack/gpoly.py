@@ -10,7 +10,7 @@ packing, which is what the feasibility and integer point routines exploit.
 """
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
 from .matroids import ExtendedHypergraphicMatroid, element_head
@@ -179,7 +179,7 @@ def member_window(b: Bounds, n: int) -> tuple[int, int]:
 
 
 # The sides of the emptiness inequality with their notes, in the order
-# TPolyhedron.demands returns them: forced root demand, member demand.
+# TPolyhedron.demand returns them: forced root demand, member demand.
 SIDES = {"g": "root demand exceeds remaining rank",
          "f": "member minimum exceeds remaining rank"}
 
@@ -193,8 +193,10 @@ class TPolyhedron:
     member count and the matroid factor keeps the support independent.
 
     Element sets are the matroid's ground masks (matroid.bit).  head_masks[v]
-    holds the elements with head v and degree[v] counts them; room["g"][v]
-    is k - g_k(v) and room["f"][v] is k - f(v).
+    holds the elements with head v; room["g"][v] is k - g_k(v) and
+    room["f"][v] is k - f(v).  shares[v][c] is vertex v's part of the two
+    demands when c elements of a set have head v: max(0, k - g_k(v) - c)
+    and min(c, k - f(v)), one entry per possible count.
     """
 
     def __init__(self, f: MixedHypergraph, bounds: Bounds):
@@ -205,23 +207,29 @@ class TPolyhedron:
         self.matroid = ExtendedHypergraphicMatroid(f, bounds.k)
         self.ground = self.matroid.ground
         self.ground_set = frozenset(self.ground)
+        self.full = (1 << len(self.ground)) - 1
         self.head_masks = tuple(sum(bit for e, bit in self.matroid.bit.items() if element_head(f, e) == v)
                                 for v in range(f.n))
-        self.degree = tuple(m.bit_count() for m in self.head_masks)
         self.room = {"g": tuple(bounds.k - bounds.g_k(v) for v in range(f.n)),
                      "f": tuple(bounds.k - bounds.f[v] for v in range(f.n))}
+        self.shares = tuple(tuple((max(0, rg - c), min(c, rf)) for c in range(m.bit_count() + 1))
+                            for m, rg, rf in zip(self.head_masks, self.room["g"], self.room["f"]))
 
     def head_counts(self, z: int) -> tuple[int, ...]:
         """In-degree of every vertex in the element set with mask z."""
         return tuple((z & m).bit_count() for m in self.head_masks)
 
-    def demands(self, cnt: Sequence[int]) -> tuple[int, int]:
-        """The two demands of an element set with head counts cnt, each the
-        left side of an emptiness inequality against the rank of the
-        complement: the forced root demand, sum of max(0, k - g_k(v) - cnt[v]),
-        and the member demand, kn - l' - sum of min(cnt[v], k - f(v))."""
-        root = sum(max(0, r - c) for r, c in zip(self.room["g"], cnt))
-        rest = sum(min(c, r) for r, c in zip(self.room["f"], cnt))
+    def demand(self, z: int) -> tuple[int, int]:
+        """The two demands of the element set with mask z, each the left
+        side of an emptiness inequality against the rank of the
+        complement: the forced root demand, sum of max(0, k - g_k(v) - d(v))
+        over the in-degrees d of z, and the member demand,
+        kn - l' - sum of min(d(v), k - f(v))."""
+        root = rest = 0
+        for m, share in zip(self.head_masks, self.shares):
+            r, s = share[(z & m).bit_count()]
+            root += r
+            rest += s
         return root, self.bounds.k * self.f.n - self.bounds.lprime - rest
 
     def pair(self, z: int) -> tuple[int, int]:
@@ -229,10 +237,9 @@ class TPolyhedron:
         pieces cut by the member plank.  p is the larger demand of the
         complement; b is the member room kn - l' - member demand of z,
         capped at kn - l - root demand of z."""
-        cnt = self.head_counts(z)
-        root, member = self.demands(cnt)
+        root, member = self.demand(z)
         b, top = self.bounds, self.bounds.k * self.f.n
-        return (max(self.demands([d - c for d, c in zip(self.degree, cnt)])),
+        return (max(self.demand(self.full ^ z)),
                 min(top - b.lprime - member, top - b.l - root))
 
     def p(self, zs: Iterable) -> int:
@@ -272,20 +279,19 @@ def ground_sweep(t: TPolyhedron, cap: int | Budget | None = None) -> Verdict:
     """For every element set z, both demand forms must stay within the
     rank of the complement; the first violation is the witness.
 
-    z runs over the ground masks in subsets() order, one budget step each.
-    The rank of the complement is read from a table of greedy bases filled
-    on first use (Matroid.greedy_basis): one independence query per new
-    mask, where a fresh rank_mask() makes one per element."""
+    z runs over the ground masks in subsets() order, one budget step each,
+    and its demands are summed from the per-vertex shares (t.demand).  The
+    rank of the complement is read from a table of greedy bases filled on
+    first use (Matroid.greedy_basis): one independence query per new mask,
+    where a fresh rank_mask() makes one per element."""
     budget = as_budget(cap)
-    ground = t.ground
-    full = (1 << len(ground)) - 1
     bases = {0: 0}
-    for z in subset_masks(low_bits(len(ground)), budget=budget):
-        rank_rest = t.matroid.greedy_basis(bases, full ^ z).bit_count()
-        for (which, note), demand in zip(SIDES.items(), t.demands(t.head_counts(z))):
+    for z in subset_masks(low_bits(len(t.ground)), budget=budget):
+        rank_rest = t.matroid.greedy_basis(bases, t.full ^ z).bit_count()
+        for (which, note), demand in zip(SIDES.items(), t.demand(z)):
             if rank_rest < demand:
                 return Verdict(False, Witness(
-                    "ground_subset", (tuple(e for e in ground if t.matroid.bit[e] & z), which),
+                    "ground_subset", (tuple(e for e in t.ground if t.matroid.bit[e] & z), which),
                     rank_rest, demand, note))
     return HOLDS
 
@@ -296,7 +302,7 @@ def ground_subset_sides(t: TPolyhedron, payload: tuple) -> tuple[int, int]:
     elems, which = payload
     if which not in SIDES:
         raise ValueError("which must be 'g' or 'f'")
-    demands = dict(zip(SIDES, t.demands(t.head_counts(t.matroid.mask(elems)))))
+    demands = dict(zip(SIDES, t.demand(t.matroid.mask(elems))))
     return t.rank(t.ground_set - frozenset(elems)), demands[which]
 
 
@@ -318,25 +324,40 @@ def t_contains(t: TPolyhedron, support: frozenset,
 def integer_points(t: TPolyhedron, cap: int | Budget | None = None):
     """All 0/1 members of T as supports, smallest first.
 
-    The t_contains test on ground masks: supports and the subsets z
-    checked against each run in subsets() order, independence is asked by
-    mask, |support & z| is a bit count, and p(z) and b(z) come from a
-    table filled by the first support that reaches z.  Budget steps are
-    those of t_contains: one per support and one per z tried."""
+    The t_contains test on ground masks, with its Budget steps: one per
+    support and one per subset z tried against it, both in subsets()
+    order.  The rows (z, p(z), b(z)) live in one table for this call,
+    built in that order from one subset_masks generator when a support
+    first reaches them, one step each; a support scans the built rows and
+    spends their steps at once.  Independence is downward closed, so a
+    support whose subset without its top element was not independent is
+    dependent and the matroid is not asked; that subset came earlier in
+    subsets() order."""
     budget = as_budget(cap)
     bits = low_bits(len(t.ground))
-    pb: dict[int, tuple[int, int]] = {}
+    rows: list[tuple[int, int, int]] = []
+    unbuilt = subset_masks(bits)
+    independent = set()
     for s in subset_masks(bits, budget=budget):
+        if s and s ^ (1 << (s.bit_length() - 1)) not in independent:
+            continue
         if not t.matroid.independent_mask(s):
             continue
-        for z in subset_masks(bits, budget=budget):
-            low_high = pb.get(z)
-            if low_high is None:
-                low_high = pb[z] = t.pair(z)
-            if not low_high[0] <= (s & z).bit_count() <= low_high[1]:
+        independent.add(s)
+        for i, (z, low, high) in enumerate(rows):
+            if not low <= (s & z).bit_count() <= high:
+                budget.spend(i + 1)
                 break
         else:
-            yield t.matroid.elements(s)
+            budget.spend(len(rows))
+            for z in unbuilt:
+                budget.spend()
+                low, high = t.pair(z)
+                rows.append((z, low, high))
+                if not low <= (s & z).bit_count() <= high:
+                    break
+            else:
+                yield t.matroid.elements(s)
 
 
 def find_integer_point(t: TPolyhedron, cap: int | Budget | None = None

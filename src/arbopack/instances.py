@@ -105,11 +105,13 @@ def parse_matroid(doc, graph: MixedHypergraph, roots: RootMultiset | None,
         _require(isinstance(blocks, list) and isinstance(caps, list) and len(blocks) == len(caps)
                  and all(_is_int(c) and c >= 0 for c in caps),
                  "partition matroid needs blocks and capacities, integers at least 0")
+        _require(all(isinstance(b, list) for b in blocks), "each partition block must be a list")
         parsed = [frozenset(_copy_ref(r, idx, roots) for r in b) for b in blocks]
         return PartitionMatroid(ground, parsed, caps)
     if kind == "explicit":
         fam = doc.get("independent_sets")
-        _require(isinstance(fam, list), "explicit matroid needs independent_sets")
+        _require(isinstance(fam, list) and all(isinstance(s, list) for s in fam),
+                 "explicit matroid needs independent_sets, a list of lists")
         parsed = [frozenset(_copy_ref(r, idx, roots) for r in s) for s in fam]
         return ExplicitMatroid(ground, parsed)
     # the one kind left: hypergraphic
@@ -120,6 +122,8 @@ def parse_matroid(doc, graph: MixedHypergraph, roots: RootMultiset | None,
         _require(isinstance(entry, dict) and "element" in entry and "vertices" in entry,
                  "each vertex_sets entry needs element and vertices")
         _known_keys(entry, ("element", "vertices"), "vertex_sets entry")
+        _require(isinstance(entry["vertices"], list),
+                 "vertex_sets vertices must be a list of names")
         e = _copy_ref(entry["element"], idx, roots)
         table[e] = frozenset(_vertex(v, idx, "vertex_sets") for v in entry["vertices"])
     _require(set(table) == set(ground), "vertex_sets must cover every root copy once")
@@ -373,6 +377,7 @@ def parse_set_function(doc, names: tuple[str, ...]) -> SetFunctionOracle:
                  "each value entry needs set and value")
         _known_keys(entry, ("set", "value"), "value entry")
         _require(_is_int(entry["value"]), "set function values must be integers")
+        _require(isinstance(entry["set"], list), "set function sets must be lists of names")
         key = frozenset(_vertex(v, idx, "set function") for v in entry["set"])
         _require(key not in table, "duplicate set in set function table")
         table[key] = entry["value"]

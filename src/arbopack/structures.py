@@ -53,9 +53,12 @@ class Budget:
         self.remaining = cap
 
     def spend(self, amount: int = 1) -> None:
-        self.remaining -= amount
-        if self.remaining < 0:
+        """Take amount steps at once.  Running out stops at the first step
+        past the cap and leaves remaining where amount single steps would."""
+        if amount > self.remaining:
+            self.remaining = min(self.remaining, 0) - 1
             raise CapExceededError(f"enumeration exceeded cap of {self.cap}")
+        self.remaining -= amount
 
 
 def as_budget(cap: int | Budget | None) -> Budget:

@@ -1,5 +1,6 @@
 """Generalized polymatroid pairs, plank intersection, the packing polyhedron
 and its emptiness/membership routines."""
+import itertools
 import random
 import tracemalloc
 
@@ -36,6 +37,14 @@ from arbopack import (
     witness_violates,
 )
 from arbopack.fuzz import _random_bounds, _random_mixed_hypergraph
+from arbopack.gpoly import (
+    MEMBER_WINDOW,
+    ROOT_WINDOW,
+    SIDES,
+    ground_subset_sides,
+    member_window,
+    root_window,
+)
 from arbopack.matroids import element_head
 
 from conftest import all_mixed_hypergraphs, mh
@@ -326,6 +335,90 @@ class TestSweeps:
             tracemalloc.stop()
         assert peak < 1_000_000
 
+    @pytest.mark.parametrize("search", [feasible, find_integer_point])
+    def test_wide_ground_stays_capped(self, search):
+        # the 12 arcs of K4 six times over: ground masks wider than 64 bits
+        arcs = [({u}, v) for u in range(4) for v in range(4) if u != v] * 6
+        t = build_t(mh(4, [], arcs), main_bounds(4, lprime=4))
+        assert len(t.ground) == 72
+        with pytest.raises(CapExceededError):
+            search(t, 1000)
+
+
+def reference_feasible(t, budget):
+    """feasible() from the frozenset oracles: the two bound pre-checks, then
+    one step per element set and ground_subset_sides on both sides."""
+    b, n = t.bounds, t.f.n
+    for v in range(n):
+        lhs, rhs = root_window(b, v)
+        if lhs < rhs:
+            return Verdict(False, Witness("vertex", (v,), lhs, rhs, ROOT_WINDOW))
+    lhs, rhs = member_window(b, n)
+    if lhs < rhs:
+        return Verdict(False, Witness("global", (), lhs, rhs, MEMBER_WINDOW))
+    for z in subsets(t.ground, budget=budget):
+        elems = tuple(e for e in t.ground if e in z)
+        for which, note in SIDES.items():
+            rank_rest, demand = ground_subset_sides(t, (elems, which))
+            if rank_rest < demand:
+                return Verdict(False, Witness("ground_subset", (elems, which),
+                                              rank_rest, demand, note))
+    return Verdict(True)
+
+
+def reference_points(t, budget):
+    """integer_points() from the frozenset oracles, lazily: one step per
+    support, then t_contains, which spends one per subset it tries."""
+    return (z for z in subsets(t.ground, budget=budget) if t_contains(t, z, budget))
+
+
+def reference_find(t, budget):
+    found = next(reference_points(t, budget), None)
+    verdict = reference_feasible(t, budget)
+    return verdict if found is None else tuple(e for e in t.ground if e in found)
+
+
+def outcome(search, t, cap):
+    """A search's answer or its cap error, with the budget it left."""
+    budget = Budget(cap)
+    try:
+        got = search(t, budget)
+        if not isinstance(got, (tuple, Verdict)):
+            got = list(got)
+    except CapExceededError:
+        got = CapExceededError
+    return got, budget.remaining
+
+
+class TestSearchAgainstReference:
+    """The mask searches keep the answers, the Budget steps and the cap
+    behaviour of the frozenset reference, at caps that stop them at every
+    stage: while supports are scanned, rows built or the sweep run."""
+
+    @staticmethod
+    def grid():
+        rng = random.Random(11)
+        while True:
+            n = rng.randint(2, 4)
+            f = _random_mixed_hypergraph(rng, n, max_elements=rng.randint(2, 6))
+            t = build_t(f, _random_bounds(rng, n))
+            if 3 <= len(t.ground) <= 11:
+                yield t
+
+    def test_same_answers_steps_and_cap_errors(self):
+        seen = set()
+        for t in itertools.islice(self.grid(), 36):
+            for search, reference in ((integer_points, reference_points),
+                                      (feasible, reference_feasible),
+                                      (find_integer_point, reference_find)):
+                # the steps a 4000 cap leaves, then caps one short and exact
+                used = 4000 - outcome(search, t, 4000)[1]
+                for cap in {1, 7, 60, 500, 4000, max(1, used - 1), min(used, 4000)}:
+                    got = outcome(search, t, cap)
+                    assert got == outcome(reference, t, cap), (search.__name__, t.f, cap)
+                    seen.add((search.__name__, got[0] is CapExceededError))
+        assert len(seen) == 6
+
 
 class TestMainPack:
     # two hyperedges (4 oriented copies) and both directions of a 4-cycle:
@@ -341,6 +434,24 @@ class TestMainPack:
         assert got == Packing((Member(0, 0, (Pick("A", 0, 0, 1), Pick("A", 1, 1, 2),
                                               Pick("A", 2, 2, 3))),))
         assert 10**6 - budget.remaining == 13818
+
+    def test_support_scan_skips_supports_above_dependent_sets(self):
+        # independence is downward closed: a support whose subset without
+        # its top element is dependent is dependent too, and is not asked
+        t = build_t(self.CYCLE, self.BOUNDS)
+        independent = t.matroid.independent_mask
+        asked = []
+
+        def record(z):
+            asked.append(z)
+            return independent(z)
+
+        t.matroid.independent_mask = record
+        points = list(integer_points(t))
+        assert points and len(asked) == len(set(asked))
+        for z in asked:
+            assert z == 0 or independent(z ^ (1 << (z.bit_length() - 1)))
+        assert len(asked) < 2 ** len(t.ground) // 2
 
     def test_memory_bounded_and_nothing_cached_on_t(self, monkeypatch):
         built = []

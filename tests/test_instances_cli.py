@@ -161,6 +161,11 @@ MALFORMED = {
     "bound-k-true": {"bounds": {"f": 0, "g": 1, "k": True}},
     "bound-scalar-false": {"bounds": {"f": False, "g": 1, "k": 1}},
     "bound-map-true": {"bounds": {"f": 0, "g": {"a": True}, "k": 1}},
+    "partition-block-not-list": {"matroid": {"kind": "partition", "blocks": [5],
+                                             "capacities": [1]}},
+    "hypergraphic-vertices-not-list": {"matroid": {"kind": "hypergraphic", "vertex_sets": [
+        {"element": "a", "vertices": 5}]}},
+    "explicit-set-not-list": {"matroid": {"kind": "explicit", "independent_sets": [5]}},
 }
 # a member's picks that are not a list
 MALFORMED_PICKS = (5, None)
@@ -186,6 +191,18 @@ class TestMalformedDocuments:
         path = tmp_path / "i.json"
         path.write_text(json.dumps(self.doc(extra)))
         assert main(["check", "--theorem", "edmonds", "--instance", str(path)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_set_function_set_not_list(self, tmp_path, capsys):
+        table = {"values": [{"set": 5, "value": 0}]}
+        with pytest.raises(SchemaError, match="sets must be lists"):
+            parse_set_function(table, ("a", "b", "c"))
+        inst, h = tmp_path / "i.json", tmp_path / "h.json"
+        inst.write_text(json.dumps(self.doc({})))
+        h.write_text(json.dumps(table))
+        argv = ["orient", "--h", "table", "--h-table", str(h), "--instance", str(inst)]
+        assert main(argv) == EXIT_USAGE
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
 

@@ -312,6 +312,22 @@ class TestBudget:
         with pytest.raises(CapExceededError):
             list(subsets(range(10), budget=Budget(5)))
 
+    @pytest.mark.parametrize("amount", [1, 4, 5, 6, 9])
+    def test_spending_at_once_matches_single_steps(self, amount):
+        def left(spend):
+            b = Budget(5)
+            try:
+                spend(b)
+            except CapExceededError:
+                return "cap", b.remaining
+            return "ok", b.remaining
+
+        def single_steps(b):
+            for _ in range(amount):
+                b.spend()
+
+        assert left(lambda b: b.spend(amount)) == left(single_steps)
+
 
 class TestEnumerationOrders:
     def test_subsets_size_then_lex(self):
