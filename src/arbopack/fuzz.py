@@ -226,6 +226,9 @@ def run_suite(name: str, seed: int, count: int = 100, n_max: int = 4,
     replayable instance document."""
     if name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}")
+    for arg, value in (("count", count), ("n_max", n_max)):
+        if value < 1:
+            raise ValueError(f"{arg} must be at least 1, not {value}")
     rng = random.Random(f"{seed}:{name}")
     check, size_limit = _SUITES[name]
     limit = min(n_max, size_limit)

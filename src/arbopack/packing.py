@@ -178,10 +178,12 @@ def _bounded_shortfall(b: Bounds, rooted: Sequence[int], containing: Sequence[in
     return None
 
 
-def _counting_rule(f: MixedHypergraph, spec: PackingSpec) -> Callable[..., Witness | None]:
+def _counting_rule(f: MixedHypergraph, spec: PackingSpec, sizes: list[int] | None
+                   ) -> Callable[..., Witness | None]:
     """The species' counting rule, read by verify and find_packing: given
     the members' root copies and vertex masks, the first shortfall as a
-    Witness, or None when the members meet it."""
+    Witness, or None when the members meet it.  sizes are the species'
+    _basis_sizes."""
     n, species = f.n, spec.species
     if species == "bounded_regular_limited":
         def rule(pairs, masks):
@@ -203,23 +205,32 @@ def _counting_rule(f: MixedHypergraph, spec: PackingSpec) -> Callable[..., Witne
             return None
         return rule
 
-    rank, matroid, known = spec.roots.ranker(spec.matroid), spec.matroid, frozenset(copies)
-    reaching = [(1 << n) - 1 if species == "matroid_based" else reach_to_mask(f, 1 << v)
-                for v in range(n)]
+    matroid, known = spec.matroid, frozenset(copies)
 
     def rule(pairs, masks):
         if len(set(pairs)) != len(pairs):
             return Witness("global", (), note="a root copy roots two members")
         if not known.issuperset(pairs):
             raise ValueError("member root copies outside the root multiset")
-        for v in range(n):
+        for v, want in enumerate(sizes):
             at_v = sum(matroid.bit[pair] for pair, m in zip(pairs, masks) if m >> v & 1)
-            want = rank(reaching[v])
             if at_v.bit_count() != want or not matroid.independent_mask(at_v):
                 return Witness("vertex", (v,), at_v.bit_count(), want,
                                "roots of the members at the vertex are not a basis")
         return None
     return rule
+
+
+def _basis_sizes(f: MixedHypergraph, spec: PackingSpec) -> list[int] | None:
+    """Per vertex, the size of the basis a matroid species wants among the
+    roots of the members containing it: the rank of the root copies that
+    reach the vertex (of every copy for matroid_based).  None for the
+    species without a matroid."""
+    if spec.species not in ("matroid_based", "matroid_reachability_based"):
+        return None
+    rank, full = spec.roots.ranker(spec.matroid), (1 << f.n) - 1
+    return [rank(full if spec.species == "matroid_based" else reach_to_mask(f, 1 << v))
+            for v in range(f.n)]
 
 
 def verify(f: MixedHypergraph, packing: Packing, spec: PackingSpec,
@@ -246,7 +257,8 @@ def verify(f: MixedHypergraph, packing: Packing, spec: PackingSpec,
             return Verdict(False, Witness("global", (i,),
                                           note="member is not an arborescence"))
         masks.append(mask)
-    witness = _counting_rule(f, spec)([(m.root, m.copy) for m in packing.members], masks)
+    rule = _counting_rule(f, spec, _basis_sizes(f, spec))
+    witness = rule([(m.root, m.copy) for m in packing.members], masks)
     return HOLDS if witness is None else Verdict(False, witness)
 
 
@@ -258,9 +270,13 @@ def _grow_member(root: int, target: int, by_head: dict,
                  ) -> Iterator[tuple[Pick, ...]]:
     """Arborescences rooted at root spanning exactly the vertex mask target,
     drawn from the unused elements, each a (kind, index, tail mask, head)
-    record.  One canonical tail witness per feasible element choice: the
-    lowest covered tail; a reach-growing trim exists iff any acyclic trim
-    does."""
+    record.  The element choices per head are walked depth-first in product
+    order, one Budget step per full choice.  A branch whose chosen heads
+    hold a nonempty set that none of its elements enters from outside can
+    never span, so it is skipped with one spend of every full choice below
+    it.  A full choice that survives is an arborescence; its canonical tail
+    witness is the lowest covered tail, and a reach-growing trim exists iff
+    any acyclic trim does."""
     cand_lists = []
     for u in mask_bits(target & ~(1 << root)):
         lst = [
@@ -270,23 +286,68 @@ def _grow_member(root: int, target: int, by_head: dict,
         if not lst:
             return
         cand_lists.append(lst)
-    for combo in itertools.product(*cand_lists):
-        budget.spend()
-        covered = 1 << root
-        pending = list(combo)
-        picks = []
-        while pending:
-            for i, (kind, index, tails, head) in enumerate(pending):
-                reached = tails & covered
-                if reached:
-                    break
-            else:
+    depth = len(cand_lists)
+    # per depth: the root with the heads still to choose, and the number of
+    # full choices below one choice there
+    sources, below = [0] * depth, [1] * depth
+    ahead, size = 1 << root, 1
+    for d in range(depth - 1, -1, -1):
+        sources[d], below[d] = ahead, size
+        ahead |= 1 << cand_lists[d][0][3]
+        size *= len(cand_lists[d])
+    chosen: list[tuple] = []
+
+    def walk(d: int) -> Iterator[tuple[Pick, ...]]:
+        if d == depth:
+            budget.spend()
+            yield _trimmed(root, chosen)
+            return
+        reached = None
+        for rec in cand_lists[d]:
+            # the element's head stays stranded iff none of its tails is
+            # reached from the root and the heads still to choose through
+            # the elements chosen so far
+            if not rec[2] & sources[d]:
+                if reached is None:
+                    reached = _reach(sources[d], chosen)
+                if not rec[2] & reached:
+                    budget.spend(below[d])
+                    continue
+            chosen.append(rec)
+            yield from walk(d + 1)
+            chosen.pop()
+
+    yield from walk(0)
+
+
+def _reach(covered: int, chosen: Sequence[tuple]) -> int:
+    """The vertex mask covered grown by the heads of the chosen records
+    whose tails it reaches, to a fixpoint."""
+    grown = True
+    while grown:
+        grown = False
+        for _, _, tails, head in chosen:
+            if tails & covered and not covered >> head & 1:
+                covered |= 1 << head
+                grown = True
+    return covered
+
+
+def _trimmed(root: int, chosen: Sequence[tuple]) -> tuple[Pick, ...]:
+    """The picks of an arborescence's records: each element is trimmed, in
+    the order the records reach it from root, to its lowest covered tail."""
+    covered = 1 << root
+    pending = list(chosen)
+    picks = []
+    while pending:
+        for i, (kind, index, tails, head) in enumerate(pending):
+            reached = tails & covered
+            if reached:
                 break
-            picks.append(Pick(kind, index, (reached & -reached).bit_length() - 1, head))
-            covered |= 1 << head
-            del pending[i]
-        if not pending:
-            yield _canonical(picks)
+        picks.append(Pick(kind, index, (reached & -reached).bit_length() - 1, head))
+        covered |= 1 << head
+        del pending[i]
+    return _canonical(picks)
 
 
 def _pack_members(roots, targets, by_head, budget) -> tuple[Member, ...] | None:
@@ -306,10 +367,17 @@ def _pack_members(roots, targets, by_head, budget) -> tuple[Member, ...] | None:
     return tuple(out) if step(0, frozenset()) else None
 
 
-def _assignments(f: MixedHypergraph, spec: PackingSpec, rule: Callable, budget: Budget
-                 ) -> Iterator[tuple[tuple, tuple]]:
+def _assignments(f: MixedHypergraph, spec: PackingSpec, rule: Callable,
+                 sizes: list[int] | None, budget: Budget) -> Iterator[tuple[tuple, tuple]]:
     """Root lists (as copy pairs) with per-member vertex mask targets that
-    meet the species' counting rule, in canonical order."""
+    meet the species' counting rule, in canonical order, one Budget step
+    per root list and per full target choice.  The matroid species walk
+    each root list's target product depth-first: a branch is dead when some
+    vertex's copies so far are dependent or above its basis size, or can no
+    longer reach that size with the members still to choose that may
+    contain it, and is skipped with one spend of every full choice below
+    it; a root list already dead before its first choice spends its whole
+    product at once."""
     n, species = f.n, spec.species
     if species in ("spanning", "reachability"):
         roots = spec.roots.copies()
@@ -319,21 +387,49 @@ def _assignments(f: MixedHypergraph, spec: PackingSpec, rule: Callable, budget: 
             yield roots, targets
         return
 
+    reach = [reach_from_mask(f, 1 << v) for v in range(n)]
     # the vertex sets a member rooted at v may span, by size then lexicographic
-    cand_by_vertex = [
-        [u for u in subset_masks([1 << w for w in mask_bits(reach_from_mask(f, 1 << v))])
-         if u >> v & 1]
-        for v in range(n)
-    ]
+    cand_by_vertex = [[u for u in subset_masks([1 << w for w in mask_bits(reach[v])]) if u >> v & 1]
+                      for v in range(n)]
     if species != "bounded_regular_limited":
+        matroid = spec.matroid
+
+        def basis_targets(roots, below, i, at, slack, chosen):
+            # at: per vertex, the copies of the members so far that contain
+            # it; slack: by how much those copies and the later members that
+            # may contain it exceed the vertex's basis size
+            if i == len(roots):
+                budget.spend()
+                if rule(roots, chosen) is None:
+                    yield chosen
+                return
+            rv, bit = roots[i][0], matroid.bit[roots[i]]
+            for u in cand_by_vertex[rv]:
+                got = [m | bit if u >> v & 1 else m for v, m in enumerate(at)]
+                missed = reach[rv] & ~u
+                left = [s - (missed >> v & 1) for v, s in enumerate(slack)]
+                if min(left, default=0) < 0 or not all(
+                        got[v].bit_count() <= sizes[v] and matroid.independent_mask(got[v])
+                        for v in mask_bits(u)):
+                    budget.spend(below[i + 1])
+                    continue
+                yield from basis_targets(roots, below, i + 1, got, left, chosen + (u,))
+
         copies = spec.roots.copies()
         for size in range(len(copies) + 1):
             for roots in itertools.combinations(copies, size):
+                # the full target choices from each member on
+                below = [1]
+                for rv, _ in reversed(roots):
+                    below.insert(0, below[0] * len(cand_by_vertex[rv]))
+                slack = [sum(reach[rv] >> v & 1 for rv, _ in roots) - want
+                         for v, want in enumerate(sizes)]
+                if min(slack, default=0) < 0:
+                    budget.spend(1 + below[0])
+                    continue
                 budget.spend()
-                for targets in itertools.product(*(cand_by_vertex[rv] for rv, _ in roots)):
-                    budget.spend()
-                    if rule(roots, targets) is None:
-                        yield roots, targets
+                for targets in basis_targets(roots, below, 0, [0] * n, slack, ()):
+                    yield roots, targets
         return
 
     b = spec.bounds
@@ -369,10 +465,13 @@ def find_packing(f: MixedHypergraph, spec: PackingSpec,
     """Exhaustive existence oracle over orientations, root assignments,
     member vertex sets and element choices, in a fixed canonical order.
     With use_every_element, only packings whose members jointly use every
-    element of f qualify."""
+    element of f qualify.  The product searches skip their dead branches
+    and spend those branches' Budget steps at once, so packings, cap errors
+    and the Budget left are those of the plain product loops."""
     budget = as_budget(cap)
     _validate_spec(f, spec)
-    rule = _counting_rule(f, spec)
+    sizes = _basis_sizes(f, spec)
+    rule = _counting_rule(f, spec, sizes)
     total = len(f.hyperedges) + len(f.dyperedges)
     arcs: dict[int, list] = {}
     for j, (tails, head) in enumerate(f.dyperedge_masks):
@@ -383,7 +482,7 @@ def find_packing(f: MixedHypergraph, spec: PackingSpec,
         by_head = {u: recs[:] for u, recs in arcs.items()}
         for i, (e, u) in enumerate(zip(f.hyperedge_masks, heads)):
             by_head.setdefault(u, []).append(("E", i, e & ~(1 << u), u))
-        for roots, targets in _assignments(f, spec, rule, budget):
+        for roots, targets in _assignments(f, spec, rule, sizes, budget):
             if use_every_element and sum(u.bit_count() - 1 for u in targets) != total:
                 continue
             members = _pack_members(roots, targets, by_head, budget)

@@ -77,6 +77,15 @@ class TestErrors:
         with pytest.raises(ValueError):
             run_suite("unheard_of", 1)
 
+    @pytest.mark.parametrize("kwargs, name", [
+        ({"count": -3}, "count"), ({"count": 0}, "count"), ({"n_max": 0}, "n_max"),
+    ])
+    def test_empty_runs_rejected(self, kwargs, name):
+        with pytest.raises(ValueError, match=f"^{name} must be at least 1"):
+            run_suite("kiraly_gy", 1, **kwargs)
+        with pytest.raises(ValueError, match=f"^{name} must be at least 1"):
+            run_fuzz(1, **kwargs)
+
     def test_tight_cap_counts_skips(self):
         report = run_suite("main_oracle", 1, count=10, n_max=3, cap=5)
         assert report["skipped"] == 10

@@ -620,6 +620,15 @@ class TestCli:
         assert code == EXIT_OK
         capsys.readouterr()
 
+    @pytest.mark.parametrize("flag, value, name", [
+        ("--count", "-3", "count"), ("--count", "0", "count"), ("--n-max", "0", "n_max"),
+    ])
+    def test_fuzz_rejects_empty_runs(self, capsys, flag, value, name):
+        assert main(["fuzz", "--seed", "1", flag, value]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {name} must be at least 1, not {value}\n"
+
     def test_verify_rejects_wrong_packing(self, write_json, capsys):
         path = write_json("i.json", feasible_main())
         ppath = write_json("p.json", {"schema_version": SCHEMA_VERSION,

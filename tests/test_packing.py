@@ -1,12 +1,15 @@
 """Packing verification, the exhaustive existence search, and the three
 constructive pipelines."""
+import itertools
 import random
 
 import pytest
 
+import arbopack.packing as packing
 from arbopack import (
     Bounds,
     Budget,
+    CapExceededError,
     ConditionId,
     FreeMatroid,
     Instance,
@@ -27,12 +30,13 @@ from arbopack import (
     verify,
 )
 from arbopack.fuzz import _random_arcs, _random_bounds, _random_mixed_hypergraph, _random_roots, _random_matroid
+from arbopack.structures import mask_bits, reach_from_mask, subset_masks
 
 from conftest import mh
 
 
 def _random_mixed_graph(rng, n):
-    edges = [frozenset(p) for p in __import__("itertools").combinations(range(n), 2)
+    edges = [frozenset(p) for p in itertools.combinations(range(n), 2)
              if rng.random() < 0.4]
     arcs = _random_arcs(rng, n)
     return MixedHypergraph(n, tuple(edges), arcs)
@@ -289,6 +293,125 @@ class TestFindPacking:
                 assert verify(f, got, spec).holds
                 holds += 1
         assert holds > 5 and fails > 5
+
+
+# The two product searches of find_packing as plain loops over the whole
+# product, one Budget step per combination, each checked only when complete.
+
+def plain_grow_member(root, target, by_head, used, budget):
+    cand_lists = []
+    for u in mask_bits(target & ~(1 << root)):
+        lst = [rec for rec in by_head.get(u, ()) if (rec[0], rec[1]) not in used and rec[2] & target]
+        if not lst:
+            return
+        cand_lists.append(lst)
+    for combo in itertools.product(*cand_lists):
+        budget.spend()
+        covered, pending, picks = 1 << root, list(combo), []
+        while pending:
+            for i, (kind, index, tails, head) in enumerate(pending):
+                reached = tails & covered
+                if reached:
+                    break
+            else:
+                break
+            picks.append(Pick(kind, index, (reached & -reached).bit_length() - 1, head))
+            covered |= 1 << head
+            del pending[i]
+        if not pending:
+            yield tuple(sorted(picks, key=lambda p: (p.kind, p.index)))
+
+
+def plain_assignments(f, spec, rule, sizes, budget, pruned=packing._assignments):
+    if not spec.species.startswith("matroid"):
+        yield from pruned(f, spec, rule, sizes, budget)
+        return
+    cand_by_vertex = [
+        [u for u in subset_masks([1 << w for w in mask_bits(reach_from_mask(f, 1 << v))])
+         if u >> v & 1]
+        for v in range(f.n)
+    ]
+    copies = spec.roots.copies()
+    for size in range(len(copies) + 1):
+        for roots in itertools.combinations(copies, size):
+            budget.spend()
+            for targets in itertools.product(*(cand_by_vertex[rv] for rv, _ in roots)):
+                budget.spend()
+                if rule(roots, targets) is None:
+                    yield roots, targets
+
+
+def search_outcome(f, spec, every, budget):
+    """find_packing's packing or cap error, with the Budget left."""
+    try:
+        got = find_packing(f, spec, budget, use_every_element=every)
+    except CapExceededError as exc:
+        got = ("cap", str(exc))
+    return got, budget.remaining
+
+
+class CountingBudget(Budget):
+    __slots__ = ("calls",)
+
+    def __init__(self, cap):
+        super().__init__(cap)
+        self.calls = 0
+
+    def spend(self, amount=1):
+        self.calls += 1
+        super().spend(amount)
+
+
+class TestPrunedSearch:
+    """find_packing walks its element-choice and target products
+    depth-first and skips dead branches with one spend: same packings,
+    same cap errors, same Budget as the plain product loops."""
+
+    @pytest.mark.parametrize("species", sorted(packing.SPECIES))
+    def test_matches_plain_product_loops(self, species, monkeypatch):
+        rng = random.Random(f"pruned:{species}")
+        probe_cap = 5_000
+        capped = done = 0
+        for _ in range(40):
+            n = rng.randint(1, 4)
+            f = _random_mixed_hypergraph(rng, n, max_elements=rng.randint(3, 9))
+            s = _random_roots(rng, n)
+            spec = PackingSpec(species, roots=s, matroid=_random_matroid(rng, s))
+            if species == "bounded_regular_limited":
+                spec = PackingSpec(species, bounds=_random_bounds(rng, n))
+            for every in (False, True):
+                with monkeypatch.context() as plain:
+                    plain.setattr(packing, "_grow_member", plain_grow_member)
+                    plain.setattr(packing, "_assignments", plain_assignments)
+                    steps = probe_cap - search_outcome(f, spec, every, Budget(probe_cap))[1]
+                    caps = {7, 30, 300} | ({steps - 1, steps} - {0} if steps <= probe_cap else set())
+                    want = {cap: search_outcome(f, spec, every, Budget(cap)) for cap in caps}
+                for cap in sorted(caps):
+                    assert search_outcome(f, spec, every, Budget(cap)) == want[cap], (f, spec, every, cap)
+                    capped += want[cap][1] < 0
+                    done += want[cap][1] >= 0
+        assert capped and done
+
+    # a cor1 hub: one arc from the new vertex 8 to each root copy of the
+    # digraph, and k = 2 spanning members from it
+    HUB_ARCS = [(0, 2), (0, 4), (0, 6), (1, 5), (1, 7), (1, 7), (2, 1), (2, 3), (3, 2), (3, 4),
+                (3, 4), (3, 7), (4, 3), (4, 5), (5, 0), (5, 1), (5, 6), (6, 3), (6, 5), (6, 5),
+                (7, 1), (7, 4), (8, 0), (8, 2)]
+    # an oriented mixed graph with roots (2, 1, 1, 0, 2) under the uniform matroid of rank 2
+    MRB_ARCS = [(0, 4), (1, 3), (4, 0), (4, 3), (3, 2), (4, 1), (2, 1), (2, 0), (4, 1), (4, 3)]
+
+    @pytest.mark.parametrize("f, spec, steps", [
+        (mh(9, (), [({u}, v) for u, v in HUB_ARCS]),
+         PackingSpec("spanning", roots=RootMultiset.from_pairs(9, [(8, 2)])), 1028),
+        (mh(5, (), [({u}, v) for u, v in MRB_ARCS]),
+         roots_spec("matroid_reachability_based", (2, 1, 1, 0, 2), rank=2), 3556),
+    ], ids=["cor1-hub", "mrb"])
+    def test_dead_branches_spend_at_once(self, f, spec, steps):
+        budget = CountingBudget(100_000)
+        got = find_packing(f, spec, budget)
+        assert got is not None and verify(f, got, spec).holds
+        assert budget.cap - budget.remaining == steps
+        assert budget.calls < steps / 2, budget.calls
 
 
 class TestCorollary1:
