@@ -125,28 +125,6 @@ def _check_picks(f: MixedHypergraph, packing: Packing) -> None:
                 raise ValueError(f"unknown element kind {p.kind!r}")
 
 
-def _arborescence_mask(m: Member) -> int | None:
-    """The member's vertex mask if its picks form an arborescence from its
-    root (distinct heads, none of them the root, every tail reached before
-    its pick), else None."""
-    heads = [p.head for p in m.picks]
-    if m.root in heads or len(set(heads)) != len(heads):
-        return None
-    covered = 1 << m.root
-    pending = m.picks
-    while pending:
-        rest = []
-        for p in pending:
-            if covered >> p.tail & 1:
-                covered |= 1 << p.head
-            else:
-                rest.append(p)
-        if len(rest) == len(pending):
-            return None
-        pending = rest
-    return covered
-
-
 def _canonical(picks) -> tuple[Pick, ...]:
     """The picks of one member in canonical order: by kind, then index."""
     return tuple(sorted(picks, key=lambda p: (p.kind, p.index)))
@@ -252,8 +230,11 @@ def verify(f: MixedHypergraph, packing: Packing, spec: PackingSpec,
             seen.add(key)
     masks = []
     for i, m in enumerate(packing.members):
-        mask = _arborescence_mask(m)
-        if mask is None:
+        # an arborescence: distinct heads, none of them the root, and its
+        # root grows through every pick
+        heads = {p.head for p in m.picks}
+        mask, taken = _grow(1 << m.root, [(p.kind, p.index, 1 << p.tail, p.head) for p in m.picks])
+        if m.root in heads or len(heads) != len(m.picks) or len(taken) != len(m.picks):
             return Verdict(False, Witness("global", (i,),
                                           note="member is not an arborescence"))
         masks.append(mask)
@@ -309,7 +290,7 @@ def _grow_member(root: int, target: int, by_head: dict,
             # the elements chosen so far
             if not rec[2] & sources[d]:
                 if reached is None:
-                    reached = _reach(sources[d], chosen)
+                    reached = _grow(sources[d], chosen)[0]
                 if not rec[2] & reached:
                     budget.spend(below[d])
                     continue
@@ -320,34 +301,32 @@ def _grow_member(root: int, target: int, by_head: dict,
     yield from walk(0)
 
 
-def _reach(covered: int, chosen: Sequence[tuple]) -> int:
-    """The vertex mask covered grown by the heads of the chosen records
-    whose tails it reaches, to a fixpoint."""
-    grown = True
-    while grown:
-        grown = False
-        for _, _, tails, head in chosen:
-            if tails & covered and not covered >> head & 1:
-                covered |= 1 << head
-                grown = True
-    return covered
+def _grow(covered: int, records: Sequence[tuple]) -> tuple[int, list[tuple]]:
+    """The vertex mask covered grown through the (kind, index, tail mask,
+    head) records: each time the first pending record with a covered tail
+    is taken and its head covered.  Returns the grown mask and the records
+    taken, in the order taken, each with its tail mask cut to the tails
+    covered when it was taken."""
+    pending, taken = list(records), []
+    i = 0
+    while i < len(pending):
+        kind, index, tails, head = pending[i]
+        if tails & covered:
+            taken.append((kind, index, tails & covered, head))
+            covered |= 1 << head
+            del pending[i]
+            i = 0
+        else:
+            i += 1
+    return covered, taken
 
 
 def _trimmed(root: int, chosen: Sequence[tuple]) -> tuple[Pick, ...]:
-    """The picks of an arborescence's records: each element is trimmed, in
-    the order the records reach it from root, to its lowest covered tail."""
-    covered = 1 << root
-    pending = list(chosen)
-    picks = []
-    while pending:
-        for i, (kind, index, tails, head) in enumerate(pending):
-            reached = tails & covered
-            if reached:
-                break
-        picks.append(Pick(kind, index, (reached & -reached).bit_length() - 1, head))
-        covered |= 1 << head
-        del pending[i]
-    return _canonical(picks)
+    """The picks of the records that grow from root: each element is
+    trimmed, in the order the records reach it, to its lowest covered
+    tail."""
+    return _canonical([Pick(kind, index, (tails & -tails).bit_length() - 1, head)
+                       for kind, index, tails, head in _grow(1 << root, chosen)[1]])
 
 
 def _pack_members(roots, targets, by_head, budget) -> tuple[Member, ...] | None:
@@ -370,14 +349,20 @@ def _pack_members(roots, targets, by_head, budget) -> tuple[Member, ...] | None:
 def _assignments(f: MixedHypergraph, spec: PackingSpec, rule: Callable,
                  sizes: list[int] | None, budget: Budget) -> Iterator[tuple[tuple, tuple]]:
     """Root lists (as copy pairs) with per-member vertex mask targets that
-    meet the species' counting rule, in canonical order, one Budget step
-    per root list and per full target choice.  The matroid species walk
-    each root list's target product depth-first: a branch is dead when some
-    vertex's copies so far are dependent or above its basis size, or can no
-    longer reach that size with the members still to choose that may
-    contain it, and is skipped with one spend of every full choice below
-    it; a root list already dead before its first choice spends its whole
-    product at once."""
+    meet the species' counting rule, in canonical order.  Spanning and
+    reachability have one root list with fixed targets and spend nothing.
+    The matroid species spend one Budget step per root list and per full
+    target choice, those of the plain product loops: they walk each root
+    list's target product depth-first; a branch is dead when some vertex's
+    copies so far are dependent or above its basis size, or can no longer
+    reach that size with the members still to choose that may contain it,
+    and is skipped with one spend of every full choice below it; a root
+    list already dead before its first choice spends its whole product at
+    once.  The bounded species spend one step per root vector and one per
+    candidate target tried at each depth: a candidate after which some
+    vertex lies in more than k members, or can no longer reach k with the
+    members still to choose, is cut there without spending the full
+    choices below it."""
     n, species = f.n, spec.species
     if species in ("spanning", "reachability"):
         roots = spec.roots.copies()
@@ -465,9 +450,12 @@ def find_packing(f: MixedHypergraph, spec: PackingSpec,
     """Exhaustive existence oracle over orientations, root assignments,
     member vertex sets and element choices, in a fixed canonical order.
     With use_every_element, only packings whose members jointly use every
-    element of f qualify.  The product searches skip their dead branches
-    and spend those branches' Budget steps at once, so packings, cap errors
-    and the Budget left are those of the plain product loops."""
+    element of f qualify.  The element-choice walk and the matroid
+    species' target walk skip their dead branches and spend those
+    branches' Budget steps at once, so packings, cap errors and the Budget
+    left are those of the plain product loops.  The bounded species' target
+    walk spends one step per candidate it tries at each depth instead, not
+    one per full choice (see _assignments)."""
     budget = as_budget(cap)
     _validate_spec(f, spec)
     sizes = _basis_sizes(f, spec)
@@ -545,36 +533,15 @@ def corollary1_pack(d: MixedHypergraph, s: RootMultiset, k: int,
         raise PropertyViolationError(
             "spanning packing guaranteed by the in-degree condition was not found")
 
+    # in a spanning arborescence, what grows from a child of the hub is
+    # exactly its subtree
     members: list[Member] = []
     for big in inner.members:
-        parent = {p.head: p for p in big.picks}
-        cache: dict[int, int] = {}
-
-        def subtree_root(v: int) -> int:
-            seen = []
-            while v not in cache:
-                p = parent[v]
-                if p.tail == hub:
-                    cache[v] = v
-                    break
-                seen.append(v)
-                v = p.tail
-            r = cache[v]
-            for u in seen:
-                cache[u] = r
-            return r
-
-        groups: dict[int, list[Pick]] = {}
-        for p in big.picks:
-            if p.index >= offset:
-                continue
-            groups.setdefault(subtree_root(p.head), []).append(p)
-        split = []
-        for p in big.picks:
-            if p.index >= offset:
-                v, copy = copies[p.index - offset]
-                split.append(Member(v, copy, _canonical(groups.get(v, ()))))
-        members.extend(sorted(split, key=lambda mm: (mm.root, mm.copy)))
+        records = [(p.kind, p.index, 1 << p.tail, p.head) for p in big.picks if p.index < offset]
+        members.extend(sorted(
+            (Member(*copies[p.index - offset], _trimmed(p.head, records))
+             for p in big.picks if p.index >= offset),
+            key=lambda mm: (mm.root, mm.copy)))
 
     spec = PackingSpec(
         "bounded_regular_limited",

@@ -294,20 +294,10 @@ def _reach_to_single(f: MixedHypergraph) -> tuple[int, ...]:
     return result
 
 
-def _reach(table: tuple[int, ...], x: int) -> int:
-    """Union of table[v] over the vertices v of mask x."""
-    out = 0
-    while x:
-        low = x & -x
-        out |= table[low.bit_length() - 1]
-        x ^= low
-    return out
-
-
 def reach_from_mask(f: MixedHypergraph, x: int) -> int:
     """Mask of the vertices reachable from some vertex of mask x (x
     included)."""
-    return _reach(_reach_from_single(f), x)
+    return mask_union(_reach_from_single(f), x)
 
 
 def reach_from(f: MixedHypergraph, x: Iterable[int]) -> frozenset[int]:
@@ -318,7 +308,7 @@ def reach_from(f: MixedHypergraph, x: Iterable[int]) -> frozenset[int]:
 def reach_to_mask(f: MixedHypergraph, x: int) -> int:
     """Mask of the vertices from which some vertex of mask x is reachable
     (x included)."""
-    return _reach(_reach_to_single(f), x)
+    return mask_union(_reach_to_single(f), x)
 
 
 def reach_to(f: MixedHypergraph, x: Iterable[int]) -> frozenset[int]:
@@ -442,8 +432,17 @@ class RootMultiset:
 
     @classmethod
     def from_pairs(cls, n: int, pairs: Iterable[tuple[int, int]]) -> "RootMultiset":
+        """The multiset on vertices 0..n-1 with the given (vertex, count)
+        pairs, every other vertex at count 0; each vertex appears at most
+        once."""
         counts = [0] * n
+        seen = set()
         for v, c in pairs:
+            if not 0 <= v < n:
+                raise ValueError(f"root vertex {v} outside 0..{n - 1}")
+            if v in seen:
+                raise ValueError(f"root vertex {v} given twice")
+            seen.add(v)
             counts[v] = c
         return cls(tuple(counts))
 
@@ -582,12 +581,8 @@ def subsets(
 ) -> Iterator[frozenset]:
     """All subsets, by increasing size then lexicographic in item order."""
     pool = list(items)
-    start = 0 if include_empty else 1
-    for r in range(start, len(pool) + 1):
-        for combo in itertools.combinations(pool, r):
-            if budget is not None:
-                budget.spend()
-            yield frozenset(combo)
+    for mask in subset_masks(low_bits(len(pool)), include_empty, budget):
+        yield mask_items(pool, mask)
 
 
 def subset_masks(bits: Sequence[int], include_empty: bool = True,

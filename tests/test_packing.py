@@ -223,6 +223,106 @@ class TestVerify:
             verify(mh(1, (), []), Packing(()), PackingSpec("spanning"))
 
 
+def pass_loop_arborescence(m):
+    """Whether the member's picks form an arborescence from its root:
+    distinct heads, none of them the root, and passes over the picks left,
+    each taking every pick whose tail is reached, until all are taken or a
+    pass takes none."""
+    heads = [p.head for p in m.picks]
+    if m.root in heads or len(set(heads)) != len(heads):
+        return False
+    covered, pending = 1 << m.root, m.picks
+    while pending:
+        rest = []
+        for p in pending:
+            if covered >> p.tail & 1:
+                covered |= 1 << p.head
+            else:
+                rest.append(p)
+        if len(rest) == len(pending):
+            return False
+        pending = rest
+    return True
+
+
+def random_picks(rng, f):
+    """Picks on a random subset of f's elements, in random order, each
+    with a random tail and head its element allows."""
+    picks = []
+    for i, e in enumerate(f.hyperedges):
+        if rng.random() < 0.6:
+            head = rng.choice(sorted(e))
+            picks.append(E(i, rng.choice(sorted(e - {head})), head))
+    for j, (tails, head) in enumerate(f.dyperedges):
+        if rng.random() < 0.6:
+            picks.append(A(j, rng.choice(sorted(tails)), head))
+    rng.shuffle(picks)
+    return tuple(picks)
+
+
+def corrupted(rng, m):
+    """The member with one pick dropped, one hyperedge pick reversed, its
+    root moved, or its picks shuffled."""
+    picks, root = list(m.picks), m.root
+    op = rng.randrange(4)
+    if op == 0 and picks:
+        del picks[rng.randrange(len(picks))]
+    elif op == 1 and any(p.kind == "E" for p in picks):
+        i = rng.choice([i for i, p in enumerate(picks) if p.kind == "E"])
+        picks[i] = E(picks[i].index, picks[i].head, picks[i].tail)
+    elif op == 2:
+        root = rng.choice(sorted(m.vertex_set()))
+    else:
+        rng.shuffle(picks)
+    return Member(root, m.copy, tuple(picks))
+
+
+class TestArborescenceVerdicts:
+    """verify calls a member not an arborescence exactly when the pass loop
+    over its picks does, and names the first such member."""
+
+    @staticmethod
+    def check(f, members, spec):
+        verdict = verify(f, Packing(members), spec)
+        bad = [i for i, m in enumerate(members) if not pass_loop_arborescence(m)]
+        if bad:
+            assert verdict == Verdict(False, Witness("global", (bad[0],),
+                                                     note="member is not an arborescence"))
+        else:
+            assert verdict.holds or verdict.witness.note != "member is not an arborescence"
+        return bool(bad)
+
+    def test_random_picks(self):
+        rng = random.Random("arborescence:random")
+        rejected = accepted = 0
+        for _ in range(400):
+            n = rng.randint(1, 5)
+            f = _random_mixed_hypergraph(rng, n, max_elements=rng.randint(1, 8))
+            member = Member(rng.randrange(n), 0, random_picks(rng, f))
+            bad = self.check(f, (member,), spanning_spec([1] + [0] * (n - 1)))
+            rejected += bad
+            accepted += not bad
+        assert rejected > 50 and accepted > 50
+
+    def test_corrupted_packings(self):
+        rng = random.Random("arborescence:corrupted")
+        rejected = accepted = 0
+        for _ in range(150):
+            n = rng.randint(2, 4)
+            f = _random_mixed_hypergraph(rng, n, max_elements=rng.randint(3, 7))
+            spec = PackingSpec("bounded_regular_limited", bounds=_random_bounds(rng, n))
+            got = find_packing(f, spec)
+            if got is None:
+                continue
+            for _ in range(4):
+                i = rng.randrange(len(got.members))
+                members = got.members[:i] + (corrupted(rng, got.members[i]),) + got.members[i + 1:]
+                bad = self.check(f, members, spec)
+                rejected += bad
+                accepted += not bad
+        assert rejected > 20 and accepted > 20
+
+
 class TestFindPacking:
     def test_spanning_two_cycle(self):
         f = mh(2, (), [({0}, 1), ({1}, 0)])
@@ -414,6 +514,48 @@ class TestPrunedSearch:
         assert budget.calls < steps / 2, budget.calls
 
 
+def unpruned_bounded_assignments(f, spec, rule, sizes, budget):
+    """The bounded species' search with no pruning: every root vector of
+    l..l' members, every product of their target choices, each checked only
+    by the counting rule, one step per full choice."""
+    b = spec.bounds
+    cand_by_vertex = [
+        [u for u in subset_masks([1 << w for w in mask_bits(reach_from_mask(f, 1 << v))])
+         if u >> v & 1]
+        for v in range(f.n)
+    ]
+    for t in range(b.l, b.lprime + 1):
+        for vec in itertools.combinations_with_replacement(range(f.n), t):
+            roots = tuple((v, c) for v in range(f.n) for c in range(vec.count(v)))
+            for targets in itertools.product(*(cand_by_vertex[v] for v in vec)):
+                budget.spend()
+                if rule(roots, targets) is None:
+                    yield roots, targets
+
+
+class TestBoundedPruning:
+    """The bounded species' target walk cuts a candidate as soon as some
+    vertex lies in more than k members or can no longer reach k; it must
+    find the packings of the unpruned product."""
+
+    def test_matches_unpruned_product(self, monkeypatch):
+        rng = random.Random("bounded-pruning")
+        cap = 10_000_000
+        found = empty = 0
+        for _ in range(40):
+            n = rng.randint(1, 3)
+            f = _random_mixed_hypergraph(rng, n, max_elements=rng.randint(2, 6))
+            spec = PackingSpec("bounded_regular_limited", bounds=_random_bounds(rng, n))
+            for every in (False, True):
+                with monkeypatch.context() as plain:
+                    plain.setattr(packing, "_assignments", unpruned_bounded_assignments)
+                    want = find_packing(f, spec, cap, use_every_element=every)
+                assert find_packing(f, spec, cap, use_every_element=every) == want, (f, spec, every)
+                found += want is not None
+                empty += want is None
+        assert found > 10 and empty > 10
+
+
 class TestCorollary1:
     def test_two_cycle_single(self):
         d = mh(2, (), [({0}, 1), ({1}, 0)])
@@ -457,6 +599,49 @@ class TestCorollary1:
             else:
                 refused += 1
         assert packed > 10 and refused > 10
+
+    @staticmethod
+    def subtree_split(big, copies, offset, hub):
+        """One spanning member from the hub split into one member per hub
+        arc: each other pick goes to the hub child above its head."""
+        parent = {p.head: p for p in big.picks}
+
+        def subtree_root(v):
+            while parent[v].tail != hub:
+                v = parent[v].tail
+            return v
+
+        groups = {}
+        for p in big.picks:
+            if p.index < offset:
+                groups.setdefault(subtree_root(p.head), []).append(p)
+        split = [Member(*copies[p.index - offset],
+                        tuple(sorted(groups.get(copies[p.index - offset][0], ()),
+                                     key=lambda q: (q.kind, q.index))))
+                 for p in big.picks if p.index >= offset]
+        return sorted(split, key=lambda m: (m.root, m.copy))
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_split_matches_subtree_walk(self, k):
+        rng = random.Random(f"cor1-split:{k}")
+        packed = 0
+        for _ in range(60):
+            n = rng.randint(1, 5)
+            d = MixedHypergraph(n, (), _random_arcs(rng, n, 0.6))
+            s = _random_roots(rng, n, max_count=k)
+            got = corollary1_pack(d, s, k)
+            if not isinstance(got, Packing):
+                continue
+            copies = s.copies()
+            aug = MixedHypergraph(n + 1, (), d.dyperedges + tuple(
+                (frozenset({n}), v) for v, _ in copies))
+            inner = find_packing(aug, PackingSpec(
+                "spanning", roots=RootMultiset.from_pairs(n + 1, [(n, k)])))
+            want = tuple(m for big in inner.members
+                         for m in self.subtree_split(big, copies, len(d.dyperedges), n))
+            assert got.members == want, (d, s)
+            packed += 1
+        assert packed > 15
 
     def test_dyperedge_tails_accepted(self):
         d = mh(3, (), [({0, 2}, 1), ({1}, 2), ({2}, 0)])

@@ -2,6 +2,7 @@
 the canonical enumeration orders everything downstream relies on, and the
 oracle memo."""
 import gc
+import itertools
 import weakref
 
 import pytest
@@ -337,6 +338,15 @@ class TestEnumerationOrders:
         assert got[-1] == frozenset({0, 1, 2})
         assert len(got) == 8
 
+    @pytest.mark.parametrize("include_empty", [True, False])
+    def test_subsets_follow_combinations_one_step_each(self, include_empty):
+        items = "abcd"
+        want = [frozenset(c) for r in range(0 if include_empty else 1, 5)
+                for c in itertools.combinations(items, r)]
+        budget = Budget(100)
+        assert list(subsets(items, include_empty, budget)) == want
+        assert budget.remaining == 100 - len(want)
+
     def test_set_partitions_count(self):
         assert len(list(set_partitions(range(4)))) == 15  # Bell(4)
 
@@ -366,6 +376,19 @@ class TestRootMultiset:
     def test_negative_counts_rejected(self):
         with pytest.raises(ValueError):
             RootMultiset((-1,))
+
+    def test_from_pairs(self):
+        assert RootMultiset.from_pairs(3, [(2, 1), (0, 2)]) == RootMultiset((2, 0, 1))
+        assert RootMultiset.from_pairs(2, []) == RootMultiset((0, 0))
+
+    @pytest.mark.parametrize("pairs, message", [
+        ([(-1, 2)], "root vertex -1 outside 0..2"),
+        ([(5, 1)], "root vertex 5 outside 0..2"),
+        ([(1, 1), (1, 2)], "root vertex 1 given twice"),
+    ], ids=["negative", "past-n", "repeated"])
+    def test_from_pairs_rejects_bad_vertices(self, pairs, message):
+        with pytest.raises(ValueError, match=message):
+            RootMultiset.from_pairs(3, pairs)
 
 
 def _polyhedron():
