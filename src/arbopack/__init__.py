@@ -6,19 +6,14 @@ the packing polyhedron, brute-force packing search, and the constructive
 pipelines that tie them together.
 """
 
-from .conditions import ConditionId, Instance, evaluate, scc_projection, witness_violates
+from .conditions import ConditionId, Instance, evaluate, witness_violates
 from .gpoly import (
-    GPoly,
-    Plank,
     TPolyhedron,
     build_t,
     check_axioms,
     feasible,
     find_integer_point,
-    gpoly_contains,
     integer_points,
-    intersect_plank,
-    minkowski_sum,
     t_contains,
     violating_subpartition,
 )

@@ -42,13 +42,12 @@ from .structures import (
     as_budget,
     check_inputs,
     entering_mask,
-    in_degree,
     in_degree_mask,
+    is_int,
     low_bits,
     mask_bits,
     mask_sum,
     mask_vertices,
-    reach_to,
     reach_to_mask,
     scc_condense,
     subpartition_masks,
@@ -125,10 +124,17 @@ def _read_mask(inst: Instance, x, allowed: int, what: str) -> int:
         raise ValueError(f"witness member {x!r} is not a vertex set")
     mask = 0
     for v in x:
-        if not (isinstance(v, int) and 0 <= v < inst.graph.n and allowed >> v & 1):
+        if not (is_int(v) and 0 <= v < inst.graph.n and allowed >> v & 1):
             raise ValueError(f"witness vertex {v!r} is not {what}")
         mask |= 1 << v
     return mask
+
+
+def _read_vertex(inst: Instance, v) -> int:
+    """A witness vertex, one of 0..n-1."""
+    if not (is_int(v) and 0 <= v < inst.graph.n):
+        raise ValueError(f"witness member {v!r} is not a vertex")
+    return v
 
 
 def _subset_quantifier(pool, include_empty: bool, what: str = "a vertex") -> Quantifier:
@@ -252,7 +258,7 @@ def _family_sweep(families) -> Quantifier:
     return Quantifier("component_family", sweep, args)
 
 
-_VERTEX = _quantifier("vertex", lambda inst, budget: range(inst.graph.n))
+_VERTEX = _quantifier("vertex", lambda inst, budget: range(inst.graph.n), back=_read_vertex)
 _GLOBAL = Quantifier("global", _global_sweep)
 _SUBSETS = _subset_quantifier(lambda inst: range(inst.graph.n), True)
 _NONEMPTY_SUBSETS = _subset_quantifier(lambda inst: range(inst.graph.n), False)
@@ -460,31 +466,3 @@ def witness_violates(cond: ConditionId | str, inst: Instance, witness: Witness) 
             lhs, rhs = check.value(inst)(*check.over.args(inst, witness.payload))
             return lhs < rhs
     raise ValueError(f"no inequality named {witness.kind!r} for {cond.value}")
-
-
-# ---------------------------------------------------------------------------
-# component projection of a vertex set in a digraph
-
-def scc_projection(
-    f: MixedHypergraph, x: frozenset[int]
-) -> tuple[tuple[frozenset[int], frozenset[int]], ...]:
-    """Split a vertex set along strongly connected components.
-
-    For every component C meeting x, the projected set keeps x's trace on C
-    and absorbs the full closure of every other met component that reaches C.
-    Each projected set lies in its component's closure, meets the component,
-    and nothing enters the part outside the component.
-    """
-    comps = scc_condense(f)
-    closures = [reach_to(f, c) for c in comps]
-    met = [j for j, c in enumerate(comps) if x & c]
-    out = []
-    for j in met:
-        xj = x & comps[j]
-        for i in met:
-            if i != j and comps[i] <= closures[j]:
-                xj |= closures[i]
-        if not (xj <= closures[j] and xj & comps[j] and in_degree(f, xj - comps[j]) == 0):
-            raise AssertionError("projection postcondition failed")
-        out.append((comps[j], xj))
-    return tuple(out)

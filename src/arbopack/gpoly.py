@@ -1,17 +1,16 @@
-"""Generalized polymatroids and the packing polyhedron T.
+"""The packing polyhedron T.
 
-A g-polymatroid Q(p, b) is the set of vectors x with p(Z) <= x(Z) <= b(Z)
-for every subset Z of the ground, where p is supermodular, b is submodular
-and the pair satisfies the cross-inequality.  Planks constrain the total
-coordinate sum.  T combines per-vertex in-star pieces, a plank on the member
-count and the rank bound of the extended hypergraphic matroid; its 0/1
-points are exactly the dyperedge sets usable by a bounded regular limited
-packing, which is what the feasibility and integer point routines exploit.
+T is a generalized polymatroid Q(p, b), the vectors x with
+p(Z) <= x(Z) <= b(Z) for every subset Z of the ground, cut by the rank of
+the extended hypergraphic matroid.  It combines per-vertex in-star pieces,
+a plank on the member count and that rank bound; its 0/1 points are
+exactly the dyperedge sets usable by a bounded regular limited packing,
+which is what the feasibility and integer point routines exploit.
+check_axioms tests that a pair (p, b) is a strong pair.
 """
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable
-from dataclasses import dataclass
+from collections.abc import Iterable
 
 from .matroids import ExtendedHypergraphicMatroid, element_head
 from .setfuncs import check_cross_inequality, check_submodular, check_supermodular
@@ -27,136 +26,9 @@ from .structures import (
     as_budget,
     check_inputs,
     low_bits,
-    memo,
     subset_masks,
     subsets,
 )
-
-
-class GPoly:
-    """Q(p, b) given by two subset oracles; evaluations are memoized."""
-
-    def __init__(self, ground: Iterable, p: Callable[[frozenset], int],
-                 b: Callable[[frozenset], int], label: str = ""):
-        self.ground = tuple(ground)
-        self.ground_set = frozenset(self.ground)
-        self.label = label
-        self._p_fn, self._b_fn = p, b
-
-    def _check(self, z: frozenset) -> frozenset:
-        if z - self.ground_set:
-            raise ValueError("subset uses elements not in the ground")
-        return z
-
-    @memo
-    def p(self, z: frozenset) -> int:
-        return int(self._p_fn(self._check(z)))
-
-    @memo
-    def b(self, z: frozenset) -> int:
-        return int(self._b_fn(self._check(z)))
-
-
-@dataclass(frozen=True)
-class Plank:
-    """Constraint alpha <= x(ground) <= beta on the coordinate sum."""
-
-    alpha: int
-    beta: int
-
-
-def check_axioms(q: GPoly | TPolyhedron, cap: int | Budget | None = None) -> Verdict:
-    """Exhaustive check that (p, b) is a strong pair: zero on the empty set,
-    p supermodular, b submodular, and b(X)-p(Y) >= b(X-Y)-p(Y-X)."""
-    budget = as_budget(cap)
-    for fn, which in ((q.p, "lower"), (q.b, "upper")):
-        if fn(frozenset()) != 0:
-            return Verdict(False, Witness("subset", (frozenset(),), fn(frozenset()), 0,
-                                          f"{which} function nonzero on the empty set"))
-    bad = check_supermodular(q.p, q.ground, budget)
-    if bad:
-        return Verdict(False, Witness("pair", bad, note="lower function not supermodular"))
-    bad = check_submodular(q.b, q.ground, budget)
-    if bad:
-        return Verdict(False, Witness("pair", bad, note="upper function not submodular"))
-    bad = check_cross_inequality(q.p, q.b, q.ground, budget)
-    if bad:
-        return Verdict(False, Witness("pair", bad, note="cross-inequality fails"))
-    return HOLDS
-
-
-def intersect_plank(q: GPoly, k: Plank, cap: int | Budget | None = None) -> GPoly | None:
-    """Intersection of a g-polymatroid with a plank.
-
-    Nonempty iff p <= b pointwise, alpha <= beta, p(S) <= beta and
-    alpha <= b(S); then the result is the g-polymatroid with
-    p'(Z) = max(p(Z), alpha - b(S-Z)) and b'(Z) = min(b(Z), beta - p(S-Z)).
-    Returns None when empty.
-    """
-    budget = as_budget(cap)
-    s = q.ground_set
-    for z in subsets(q.ground, budget=budget):
-        if q.p(z) > q.b(z):
-            return None
-    if k.alpha > k.beta or q.p(s) > k.beta or k.alpha > q.b(s):
-        return None
-
-    def p2(z: frozenset) -> int:
-        return max(q.p(z), k.alpha - q.b(s - z))
-
-    def b2(z: frozenset) -> int:
-        return min(q.b(z), k.beta - q.p(s - z))
-
-    return GPoly(q.ground, p2, b2, label=f"{q.label}&plank")
-
-
-def minkowski_sum(summands: Iterable[GPoly]) -> GPoly:
-    """Sum of g-polymatroids: add the functions pointwise on a common
-    ground, or blockwise on pairwise disjoint grounds."""
-    qs = list(summands)
-    if not qs:
-        raise ValueError("need at least one summand")
-    if any(q is None for q in qs):
-        raise ValueError("empty summand")
-    grounds = [q.ground_set for q in qs]
-    if all(g == grounds[0] for g in grounds):
-        ground = qs[0].ground
-
-        def p(z: frozenset) -> int:
-            return sum(q.p(z) for q in qs)
-
-        def b(z: frozenset) -> int:
-            return sum(q.b(z) for q in qs)
-
-        return GPoly(ground, p, b, label="sum")
-    union: set = set()
-    for g in grounds:
-        if g & union:
-            raise ValueError("grounds must be common or pairwise disjoint")
-        union |= g
-    ground = tuple(e for q in qs for e in q.ground)
-
-    def p(z: frozenset) -> int:
-        return sum(q.p(z & g) for q, g in zip(qs, grounds))
-
-    def b(z: frozenset) -> int:
-        return sum(q.b(z & g) for q, g in zip(qs, grounds))
-
-    return GPoly(ground, p, b, label="sum")
-
-
-def gpoly_contains(q: GPoly, x: dict, cap: int | Budget | None = None) -> bool:
-    """Membership of an integer vector (element -> value) in Q(p, b)."""
-    budget = as_budget(cap)
-    for z in subsets(q.ground, budget=budget):
-        total = sum(x.get(e, 0) for e in z)
-        if not q.p(z) <= total <= q.b(z):
-            return False
-    return True
-
-
-# ---------------------------------------------------------------------------
-# the polyhedron T
 
 # The Bounds fields T reads and the positivity it needs, for check_inputs,
 # then the two bound pre-checks of the emptiness test, each as (lhs, rhs)
@@ -258,6 +130,27 @@ class TPolyhedron:
 
 def build_t(f: MixedHypergraph, bounds: Bounds) -> TPolyhedron:
     return TPolyhedron(f, bounds)
+
+
+def check_axioms(q, cap: int | Budget | None = None) -> Verdict:
+    """Exhaustive check that (p, b) is a strong pair: zero on the empty set,
+    p supermodular, b submodular, and b(X)-p(Y) >= b(X-Y)-p(Y-X).  q is T
+    or any object with a ground tuple and p and b on its element sets."""
+    budget = as_budget(cap)
+    for fn, which in ((q.p, "lower"), (q.b, "upper")):
+        if fn(frozenset()) != 0:
+            return Verdict(False, Witness("subset", (frozenset(),), fn(frozenset()), 0,
+                                          f"{which} function nonzero on the empty set"))
+    bad = check_supermodular(q.p, q.ground, budget)
+    if bad:
+        return Verdict(False, Witness("pair", bad, note="lower function not supermodular"))
+    bad = check_submodular(q.b, q.ground, budget)
+    if bad:
+        return Verdict(False, Witness("pair", bad, note="upper function not submodular"))
+    bad = check_cross_inequality(q.p, q.b, q.ground, budget)
+    if bad:
+        return Verdict(False, Witness("pair", bad, note="cross-inequality fails"))
+    return HOLDS
 
 
 def feasible(t: TPolyhedron, cap: int | Budget | None = None) -> Verdict:

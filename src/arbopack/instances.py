@@ -20,7 +20,7 @@ from .matroids import (
 )
 from .packing import Member, Packing, Pick
 from .setfuncs import SetFunctionOracle
-from .structures import Bounds, Instance, MixedHypergraph, RootMultiset, mask_bits
+from .structures import Bounds, Instance, MixedHypergraph, RootMultiset, is_int, mask_bits
 
 SCHEMA_VERSION = 1
 
@@ -46,11 +46,6 @@ def _known_keys(doc: dict, keys: tuple[str, ...], what: str) -> None:
         raise SchemaError(f"unknown {what} fields {sorted(bad)}")
 
 
-def _is_int(x) -> bool:
-    """A JSON integer: true and false parse as bool, which is an int too."""
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def _check_version(doc: dict) -> None:
     version = doc.get("schema_version", SCHEMA_VERSION)
     _require(version == SCHEMA_VERSION, f"unsupported schema_version {version!r}")
@@ -73,7 +68,7 @@ def _copy_ref(ref, idx: dict[str, int], roots: RootMultiset) -> tuple[int, int]:
     if isinstance(ref, str):
         ref = [ref, 0]
     _require(
-        isinstance(ref, list) and len(ref) == 2 and _is_int(ref[1]),
+        isinstance(ref, list) and len(ref) == 2 and is_int(ref[1]),
         f"root copy reference must be [name, copy], got {ref!r}",
     )
     v = _vertex(ref[0], idx, "matroid element")
@@ -88,7 +83,7 @@ def parse_matroid(doc, graph: MixedHypergraph, roots: RootMultiset | None,
     _require(isinstance(kind, str) and kind in _MATROID_KEYS, f"unknown matroid kind {kind!r}")
     _known_keys(doc, ("kind", *_MATROID_KEYS[kind]), f"{kind} matroid")
     if kind in ("extended", "ksum"):
-        _require(_is_int(doc.get("k")) and doc["k"] >= 1, f"{kind} matroid needs k >= 1")
+        _require(is_int(doc.get("k")) and doc["k"] >= 1, f"{kind} matroid needs k >= 1")
         if kind == "extended":
             return ExtendedHypergraphicMatroid(graph, doc["k"])
         return KSumMatroid(parse_matroid(doc.get("inner"), graph, roots, idx), doc["k"])
@@ -97,13 +92,13 @@ def parse_matroid(doc, graph: MixedHypergraph, roots: RootMultiset | None,
     if kind == "free":
         return FreeMatroid(ground)
     if kind == "uniform":
-        _require(_is_int(doc.get("r")) and doc["r"] >= 0, "uniform matroid needs r")
+        _require(is_int(doc.get("r")) and doc["r"] >= 0, "uniform matroid needs r")
         return UniformMatroid(ground, doc["r"])
     if kind == "partition":
         blocks = doc.get("blocks")
         caps = doc.get("capacities")
         _require(isinstance(blocks, list) and isinstance(caps, list) and len(blocks) == len(caps)
-                 and all(_is_int(c) and c >= 0 for c in caps),
+                 and all(is_int(c) and c >= 0 for c in caps),
                  "partition matroid needs blocks and capacities, integers at least 0")
         _require(all(isinstance(b, list) for b in blocks), "each partition block must be a list")
         parsed = [frozenset(_copy_ref(r, idx, roots) for r in b) for b in blocks]
@@ -131,12 +126,12 @@ def parse_matroid(doc, graph: MixedHypergraph, roots: RootMultiset | None,
 
 
 def _vec(val, n: int, idx: dict[str, int], what: str) -> tuple[int, ...]:
-    if _is_int(val):
+    if is_int(val):
         return (val,) * n
     _require(isinstance(val, dict), f"{what} must be an integer or a name map")
     out = [0] * n
     for name, x in val.items():
-        _require(_is_int(x), f"{what} values must be integers")
+        _require(is_int(x), f"{what} values must be integers")
         out[_vertex(name, idx, what)] = x
     return tuple(out)
 
@@ -150,7 +145,7 @@ def parse_bounds(doc, n: int, idx: dict[str, int]) -> Bounds:
             kw[name] = _vec(doc[name], n, idx, f"bounds.{name}")
     for name in ("k", "l", "lprime"):
         if name in doc:
-            _require(_is_int(doc[name]), f"bounds.{name} must be an integer")
+            _require(is_int(doc[name]), f"bounds.{name} must be an integer")
             kw[name] = doc[name]
     try:
         return Bounds(**kw)
@@ -191,7 +186,7 @@ def parse_instance(doc) -> tuple[Instance, tuple[str, ...]]:
         _require(isinstance(rdoc, dict), "roots must be a name -> count map")
         counts = [0] * n
         for name, c in rdoc.items():
-            _require(_is_int(c) and c >= 0, "root counts must be nonnegative integers")
+            _require(is_int(c) and c >= 0, "root counts must be nonnegative integers")
             counts[_vertex(name, idx, "roots")] = c
         roots = RootMultiset(tuple(counts))
 
@@ -283,14 +278,14 @@ def parse_packing(doc, names: tuple[str, ...]) -> Packing:
         _known_keys(mdoc, ("root", "copy", "picks"), "member")
         root = _vertex(mdoc["root"], idx, "member root")
         copy = mdoc.get("copy", 0)
-        _require(_is_int(copy) and copy >= 0, "member copy must be a nonnegative integer")
+        _require(is_int(copy) and copy >= 0, "member copy must be a nonnegative integer")
         _require(isinstance(mdoc.get("picks", []), list), "member picks must be a list")
         picks = []
         for pdoc in mdoc.get("picks", []):
             _require(
                 isinstance(pdoc, dict)
                 and pdoc.get("kind") in ("E", "A")
-                and _is_int(pdoc.get("index")),
+                and is_int(pdoc.get("index")),
                 "each pick needs kind E|A and an index",
             )
             _known_keys(pdoc, ("kind", "index", "tail", "head"), "pick")
@@ -355,7 +350,7 @@ def parse_extended_elements(doc, names: tuple[str, ...]) -> frozenset[tuple]:
     out = []
     for e in _element_list(doc):
         _require(isinstance(e, list) and e[:1] in (["A"], ["E"])
-                 and len(e) == (2 if e[0] == "A" else 3) and _is_int(e[1]),
+                 and len(e) == (2 if e[0] == "A" else 3) and is_int(e[1]),
                  f"bad extended element {e!r}")
         if e[0] == "A":
             out.append(("A", e[1]))
@@ -376,7 +371,7 @@ def parse_set_function(doc, names: tuple[str, ...]) -> SetFunctionOracle:
         _require(isinstance(entry, dict) and "set" in entry and "value" in entry,
                  "each value entry needs set and value")
         _known_keys(entry, ("set", "value"), "value entry")
-        _require(_is_int(entry["value"]), "set function values must be integers")
+        _require(is_int(entry["value"]), "set function values must be integers")
         _require(isinstance(entry["set"], list), "set function sets must be lists of names")
         key = frozenset(_vertex(v, idx, "set function") for v in entry["set"])
         _require(key not in table, "duplicate set in set function table")

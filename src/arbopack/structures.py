@@ -14,8 +14,7 @@ fields, witness payloads and the frozenset wrappers ``in_degree``,
 ``entering_count``, ``reach_from``, ``reach_to``, ``subsets`` and
 ``subpartitions``.
 Derived data (reachability, strongly connected components) is memoized on
-the instance.  The ``memo`` decorator caches ``GPoly.p`` and ``GPoly.b``;
-set functions and matroids keep their own tables by mask.
+the instance; set functions and matroids keep their own tables by mask.
 ``check_inputs`` validates what an ``Instance`` gives a reader.
 """
 from __future__ import annotations
@@ -61,40 +60,16 @@ class Budget:
         self.remaining -= amount
 
 
+def is_int(x) -> bool:
+    """An integer, not a bool: JSON true and false parse as bool, which is
+    an int too."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def as_budget(cap: int | Budget | None) -> Budget:
     if isinstance(cap, Budget):
         return cap
     return Budget(DEFAULT_CAP if cap is None else cap)
-
-
-def memo(method: Callable) -> Callable:
-    """Cache ``method(self, zs)`` per instance, keyed by ``frozenset(zs)``.
-
-    The method receives the frozenset, so callers may pass any iterable.
-    The table is an attribute of the instance itself, never held by a
-    closure or bound method that points back at the instance, so it is
-    freed with the instance without waiting for the cyclic garbage
-    collector.  It is set with setattr, not through ``vars(self)``, which
-    would turn the instance's inline attribute storage into a plain dict
-    and slow every later attribute read on it.  Only returned values are
-    stored, and None counts as not stored: a key the method rejects by
-    raising is rejected again on every call.
-    """
-    slot = f"_memo_{method.__qualname__}"
-
-    @functools.wraps(method)
-    def cached(self, zs):
-        key = frozenset(zs)
-        table = getattr(self, slot, None)
-        if table is None:
-            table = {}
-            setattr(self, slot, table)
-        got = table.get(key)
-        if got is None:
-            got = table[key] = method(self, key)
-        return got
-
-    return cached
 
 
 # ---------------------------------------------------------------------------
@@ -191,10 +166,6 @@ class MixedHypergraph:
         object.__setattr__(self, "hyperedge_masks", tuple(vertex_mask(e) for e in hs))
         object.__setattr__(self, "dyperedge_masks", dmasks)
         object.__setattr__(self, "tails_into", tuple((bit, tuple(ts)) for bit, ts in into.items()))
-
-    @property
-    def vertices(self) -> frozenset[int]:
-        return frozenset(range(self.n))
 
     def is_digraph(self) -> bool:
         return not self.hyperedges and all(len(z) == 1 for z, _ in self.dyperedges)

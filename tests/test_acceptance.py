@@ -19,19 +19,18 @@ from conftest import (
     all_root_multisets,
     small_matroid_family,
 )
+from reference import GPoly, Plank, intersect_plank, minkowski_sum, scc_projection
 
 from arbopack import (
     Bounds,
     ConditionId,
     ExtendedHypergraphicMatroid,
     FreeMatroid,
-    GPoly,
     Instance,
     MixedHypergraph,
     Orientation,
     Packing,
     PackingSpec,
-    Plank,
     SetFunctionOracle,
     build_t,
     check_axioms,
@@ -40,16 +39,13 @@ from arbopack import (
     evaluate,
     find_packing,
     in_degree,
-    intersect_plank,
     main_pack,
-    minkowski_sum,
     mixed_orient,
     mrb_mixed_pack,
     orientation_space,
     reach_to,
     verify,
 )
-from arbopack.conditions import scc_projection
 from arbopack.gpoly import feasible, integer_points
 from arbopack.matroids import extended_ground
 from arbopack.structures import entering_count, scc_condense

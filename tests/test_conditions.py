@@ -18,7 +18,6 @@ from arbopack import (
     evaluate,
     in_degree,
     reach_to,
-    scc_projection,
     subsets,
     witness_violates,
 )
@@ -33,6 +32,7 @@ from arbopack.fuzz import (
 )
 
 from conftest import mh
+from reference import scc_projection
 
 
 def inst_d(n, arcs, counts, matroid=None):
@@ -362,6 +362,26 @@ class TestMalformedWitnesses:
         for payload in ((5,), ("ab",), (), (frozenset({1}), frozenset({2}))):
             with pytest.raises(ValueError):
                 witness_violates("edmonds", self.path(), Witness("subset", payload))
+
+    @pytest.mark.parametrize("cond", ["cor1", "frank_cai", "gy_fg", "hsz", "berczi_frank",
+                                      "main", "lemma1b"])
+    def test_vertex_payload_must_be_a_vertex(self, cond):
+        # -1 once read vertex 2, 7 raised IndexError, True read vertex 1
+        inst = Instance(graph=mh(3, (), [({0}, 1), ({1}, 2)]), roots=RootMultiset((1, 0, 2)),
+                        bounds=Bounds(f=(0, 0, 0), g=(1, 1, 1), k=1, l=1, lprime=3))
+        for payload in ((-1,), (7,), (True,), (False,), ("2",), (2, 2), ()):
+            with pytest.raises(ValueError):
+                witness_violates(cond, inst, Witness("vertex", payload))
+        assert witness_violates(cond, inst, Witness("vertex", (1,))) is False
+        assert witness_violates(cond, inst, Witness("vertex", (2,))) is (cond == "cor1")
+
+    def test_bool_is_not_a_vertex(self):
+        with pytest.raises(ValueError):
+            witness_violates("edmonds", self.path(), Witness("subset", (frozenset({True}),)))
+        inst = Instance(graph=mh(3, [{0, 1}], []), roots=RootMultiset((1, 0, 1)))
+        with pytest.raises(ValueError):
+            witness_violates("frank_mixed", inst,
+                             Witness("subpartition", ((frozenset({False}),),)))
 
     def test_overlapping_parts_rejected(self):
         inst = Instance(graph=mh(3, [{0, 1}], []), roots=RootMultiset((1, 0, 1)))

@@ -11,12 +11,10 @@ from arbopack import (
     Budget,
     CapExceededError,
     ConditionId,
-    GPoly,
     Instance,
     Member,
     Packing,
     Pick,
-    Plank,
     UniformMatroid,
     Verdict,
     Witness,
@@ -25,11 +23,8 @@ from arbopack import (
     evaluate,
     feasible,
     find_integer_point,
-    gpoly_contains,
     integer_points,
-    intersect_plank,
     main_pack,
-    minkowski_sum,
     packing,
     subsets,
     t_contains,
@@ -48,6 +43,7 @@ from arbopack.gpoly import (
 from arbopack.matroids import element_head
 
 from conftest import all_mixed_hypergraphs, mh
+from reference import GPoly, Plank, gpoly_contains, intersect_plank, minkowski_sum
 
 
 def rank_pair(ground, r):

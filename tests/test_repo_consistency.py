@@ -37,6 +37,15 @@ def test_readme_lists_every_fuzz_suite():
     assert names == list(SUITES)
 
 
+def test_readme_lists_every_module():
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    found = re.search(r"^## Library layout\n(.*?)^## ", text, re.M | re.S)
+    assert found
+    names = re.findall(r"^- `arbopack\.(\w+)`", found.group(1), re.M)
+    modules = [p.stem for p in (ROOT / "src" / "arbopack").glob("*.py") if p.stem != "__init__"]
+    assert sorted(names) == sorted(modules)
+
+
 def test_traced_names_resolve():
     """Everything perfbench/spans.py wraps for `perfbench/run.py --trace 1`
     still exists under the module and name it looks up."""

@@ -1,6 +1,6 @@
 """Core structures: reachability, condensation, entering counts, budgets,
 the canonical enumeration orders everything downstream relies on, and the
-oracle memo."""
+oracle tables."""
 import gc
 import itertools
 import weakref
@@ -13,7 +13,6 @@ from arbopack import (
     Bounds,
     Budget,
     CapExceededError,
-    GPoly,
     HypergraphicMatroid,
     KSumMatroid,
     MixedHypergraph,
@@ -36,13 +35,13 @@ from arbopack.structures import (
     entering_mask,
     in_degree_mask,
     mask_vertices,
-    memo,
     reach_to_mask,
     subpartition_masks,
     vertex_mask,
 )
 
 from conftest import all_mixed_hypergraphs, arc, mh
+from reference import GPoly
 
 
 def small_graphs():
@@ -400,11 +399,6 @@ def _triangle():
     return HypergraphicMatroid("xyz", {"x": {0, 1}, "y": {1, 2}, "z": {0, 2}})
 
 
-# every method cached by memo, with a factory for a small instance
-MEMOIZED = [
-    (GPoly, "p", lambda: GPoly(range(3), len, lambda z: 2 * len(z))),
-    (GPoly, "b", lambda: GPoly(range(3), len, lambda z: 2 * len(z))),
-]
 # the matroid kinds that keep an answer table by ground mask: the method
 # holding the rule, a factory, and which calls are the rule's own asks
 # (k-sum's _place recurses with a nonempty bin)
@@ -416,25 +410,6 @@ TABLED = {
 
 
 class TestMemo:
-    @pytest.mark.parametrize("cls, name, make", MEMOIZED,
-                             ids=[f"{cls.__name__}.{name}" for cls, name, _ in MEMOIZED])
-    def test_memoizes_calls(self, monkeypatch, cls, name, make):
-        wrapper = vars(cls)[name]
-        assert wrapper.__code__ is memo(len).__code__
-        runs = []
-
-        def body(obj, key):
-            runs.append((obj, key))
-            return wrapper.__wrapped__(obj, key)
-
-        monkeypatch.setattr(cls, name, memo(body))
-        for obj in (make(), make()):
-            ground = obj.ground if hasattr(obj, "ground") else range(obj.n)
-            keys = list(subsets(ground))
-            values = [getattr(obj, name)(z) for z in keys]
-            assert [getattr(obj, name)(sorted(z, key=repr)) for z in keys] == values
-            assert [z for owner, z in runs if owner is obj] == keys
-
     @pytest.mark.parametrize("cls, name, make, asks", TABLED.values(), ids=TABLED.keys())
     def test_matroid_rule_asked_once_per_mask(self, monkeypatch, cls, name, make, asks):
         rule = vars(cls)[name]
