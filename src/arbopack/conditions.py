@@ -42,12 +42,14 @@ from .structures import (
     as_budget,
     check_inputs,
     entering_mask,
+    in_degree_fold,
     in_degree_mask,
     is_int,
     low_bits,
     mask_bits,
     mask_sum,
     mask_vertices,
+    reach_to_fold,
     reach_to_mask,
     scc_condense,
     subpartition_masks,
@@ -299,11 +301,14 @@ class Condition(NamedTuple):
 
 
 # Subset and subpartition values read vertex masks; the parts of a
-# subpartition are disjoint, so their sum is their union.
+# subpartition are disjoint, so their sum is their union.  The subset values
+# read in-degree and reach through folds, which take each subset's term from
+# the subset one size smaller that the sweep visited before it.
 
 def _edmonds(inst):
     f, s, total = inst.graph, inst.roots, inst.roots.size()
-    return lambda x: (in_degree_mask(f, x), total - s.size_of(x))
+    d = in_degree_fold(f)
+    return lambda x: (d(x), total - s.size_of(x))
 
 
 def _frank_mixed(inst):
@@ -313,18 +318,20 @@ def _frank_mixed(inst):
 
 def _kkt(inst):
     f, s = inst.graph, inst.roots
-    return lambda x: (in_degree_mask(f, x), s.size_of(reach_to_mask(f, x)) - s.size_of(x))
+    d, reach = in_degree_fold(f), reach_to_fold(f)
+    return lambda x: (d(x), s.size_of(reach(x)) - s.size_of(x))
 
 
 def _dgns(inst):
     f, rank = inst.graph, inst.roots.ranker(inst.matroid)
-    full = rank((1 << f.n) - 1)
-    return lambda x: (in_degree_mask(f, x), full - rank(x))
+    d, full = in_degree_fold(f), rank((1 << f.n) - 1)
+    return lambda x: (d(x), full - rank(x))
 
 
 def _kiraly(inst):
     f, rank = inst.graph, inst.roots.ranker(inst.matroid)
-    return lambda x: (in_degree_mask(f, x), rank(reach_to_mask(f, x)) - rank(x))
+    d, reach = in_degree_fold(f), reach_to_fold(f)
+    return lambda x: (d(x), rank(reach(x)) - rank(x))
 
 
 def _family(f, member):
@@ -371,12 +378,14 @@ def _bounded(slack, cap):
 
 def _fkk(inst):
     f, k = inst.graph, inst.roots.size()
-    return lambda x: (in_degree_mask(f, x), k)
+    d = in_degree_fold(f)
+    return lambda x: (d(x), k)
 
 
 def _cor1(inst):
     f, s, k = inst.graph, inst.roots, inst.bounds.k
-    return lambda x: (in_degree_mask(f, x), k - s.size_of(x))
+    d = in_degree_fold(f)
+    return lambda x: (d(x), k - s.size_of(x))
 
 
 def _lemma1b(inst):

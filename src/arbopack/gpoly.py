@@ -25,6 +25,7 @@ from .structures import (
     Witness,
     as_budget,
     check_inputs,
+    is_int,
     low_bits,
     subset_masks,
     subsets,
@@ -191,10 +192,17 @@ def ground_sweep(t: TPolyhedron, cap: int | Budget | None = None) -> Verdict:
 
 def ground_subset_sides(t: TPolyhedron, payload: tuple) -> tuple[int, int]:
     """Both sides of one recorded emptiness inequality: the rank of the
-    complement and the chosen demand."""
+    complement and the chosen demand.  An element is read strictly, its
+    indices integers and not bools or floats, which equal and hash as
+    integers."""
     elems, which = payload
     if which not in SIDES:
         raise ValueError("which must be 'g' or 'f'")
+    if not isinstance(elems, (tuple, list)):
+        raise ValueError(f"witness elements {elems!r} are not a tuple")
+    for e in elems:
+        if not (isinstance(e, tuple) and len(e) > 1 and all(map(is_int, e[1:]))):
+            raise ValueError(f"element not in the ground: {e!r}")
     demands = dict(zip(SIDES, t.demand(t.matroid.mask(elems))))
     return t.rank(t.ground_set - frozenset(elems)), demands[which]
 

@@ -29,11 +29,13 @@ from .structures import (
     Witness,
     as_budget,
     entering_mask,
+    in_degree_fold,
     in_degree_mask,
     induced_subgraph,
     low_bits,
     mask_vertices,
     orient_all,
+    reach_to_fold,
     reach_to_mask,
     scc_condense,
     subset_masks,
@@ -76,9 +78,9 @@ def _cover(f: MixedHypergraph, o: Orientation, cap: int | Budget | None, include
     """Does the orientation give every vertex mask x (nonempty ones only
     unless include_empty) at least demand(x) entering elements?"""
     budget = as_budget(cap)
-    d = orient_all(f, o.heads)
+    d = in_degree_fold(orient_all(f, o.heads))
     for x in subset_masks(low_bits(f.n), include_empty, budget):
-        lhs, rhs = in_degree_mask(d, x), demand(x)
+        lhs, rhs = d(x), demand(x)
         if lhs < rhs:
             return Verdict(False, Witness("subset", (mask_vertices(x),), lhs, rhs, note))
     return HOLDS
@@ -95,7 +97,8 @@ def check_mixed_cover(f: MixedHypergraph, h: SetFunctionOracle, o: Orientation,
                       cap: int | Budget | None = None) -> Verdict:
     """Does the orientation give every vertex set at least h(X) - h(P^X)
     entering elements, dyperedges included?"""
-    return _cover(f, o, cap, True, lambda x: h.at(x) - h.at(reach_to_mask(f, x)),
+    reach = reach_to_fold(f)
+    return _cover(f, o, cap, True, lambda x: h.at(x) - h.at(reach(x)),
                   "oriented in-degree below relative demand")
 
 

@@ -9,10 +9,11 @@ between any two of its vertices, a dyperedge only from a tail to its head.
 Everything here is immutable and pure.  Inside the core a vertex set is a
 bit mask (bit v for vertex v): each structure builds its element masks
 once, and the entering rule, reachability and the subset and subpartition
-enumerations work on masks.  Frozensets stay at the boundary: ``Instance``
-fields, witness payloads and the frozenset wrappers ``in_degree``,
-``entering_count``, ``reach_from``, ``reach_to``, ``subsets`` and
-``subpartitions``.
+enumerations work on masks.  Along a subset sweep, in-degree and reach are
+folded from the subset one size smaller (``subset_fold``).  Frozensets
+stay at the boundary: ``Instance`` fields, witness payloads and the
+frozenset wrappers ``in_degree``, ``entering_count``, ``reach_from``,
+``reach_to``, ``subsets`` and ``subpartitions``.
 Derived data (reachability, strongly connected components) is memoized on
 the instance; set functions and matroids keep their own tables by mask.
 ``check_inputs`` validates what an ``Instance`` gives a reader.
@@ -377,6 +378,95 @@ def entering_count(f: MixedHypergraph, parts: Iterable[Iterable[int]]) -> int:
 
 
 # ---------------------------------------------------------------------------
+# terms folded along a subset sweep
+
+def _incidence(f: MixedHypergraph) -> tuple[tuple[tuple[int, ...], ...],
+                                            tuple[tuple[tuple[int, int], ...], ...]]:
+    """Per vertex v, the tail masks of the dyperedges into v, and the (tail
+    mask, head bit) pairs of the dyperedges with v among their tails;
+    memoized."""
+    cached = f._cache.get("incidence")
+    if cached is not None:
+        return cached
+    into: list[list[int]] = [[] for _ in range(f.n)]
+    leaving: list[list[tuple[int, int]]] = [[] for _ in range(f.n)]
+    for tails, head in f.dyperedge_masks:
+        into[head.bit_length() - 1].append(tails)
+        for y in mask_bits(tails):
+            leaving[y].append((tails, head))
+    result = (tuple(map(tuple, into)), tuple(map(tuple, leaving)))
+    f._cache["incidence"] = result
+    return result
+
+
+def subset_fold(direct: Callable[[int], int], step: Callable[[int, int, int], int]
+                ) -> Callable[[int], int]:
+    """A term of the vertex masks a subset sweep visits, each taken from
+    the mask one size smaller.
+
+    subset_masks() over increasing bits visits X by size, then
+    lexicographically, so X - v, v the top vertex of X, came one size
+    level earlier.  The fold keeps the terms of the previous and the
+    current level by mask, never more, and returns step(term of X - v, X,
+    v); a level is dropped once a mask folds from the one after it.  A
+    mask holding the pool's top vertex, the last singleton visited, has no
+    extension in the sweep, so from size 2 on it is not kept.  A mask
+    whose X - v is not kept, as on a call out of sweep order such as
+    witness_violates reading one witness, gets direct(X).
+    """
+    empty = direct(0)
+    prev: dict[int, int] = {}
+    cur = {0: empty}
+    top = 0
+
+    def fold(x: int) -> int:
+        nonlocal prev, cur, top
+        if not x:
+            return empty
+        v = x.bit_length() - 1
+        rest = x ^ 1 << v
+        term = prev.get(rest)
+        if term is None:
+            term = cur.get(rest)
+            if term is None:
+                return direct(x)
+            if rest and not top:
+                top = max(cur)
+            prev, cur = cur, {}
+        term = step(term, x, v)
+        if not x & top:
+            cur[x] = term
+        return term
+
+    return fold
+
+
+def in_degree_fold(f: MixedHypergraph) -> Callable[[int], int]:
+    """in_degree_mask(f, x) along a subset sweep, in O(deg v) per mask:
+    in(X) = in(X - v) + the dyperedges into v with a tail outside X - the
+    dyperedges out of v with their head in X and every tail in X."""
+    into, leaving = _incidence(f)
+
+    def step(total: int, x: int, v: int) -> int:
+        out = ~x
+        for tails in into[v]:
+            if tails & out:
+                total += 1
+        for tails, head in leaving[v]:
+            if head & x and not tails & out:
+                total -= 1
+        return total
+
+    return subset_fold(lambda x: in_degree_mask(f, x), step)
+
+
+def reach_to_fold(f: MixedHypergraph) -> Callable[[int], int]:
+    """reach_to_mask(f, x) along a subset sweep: reach(X - v) | reach(v)."""
+    single = _reach_to_single(f)
+    return subset_fold(lambda x: reach_to_mask(f, x), lambda reach, x, v: reach | single[v])
+
+
+# ---------------------------------------------------------------------------
 # root multisets and bounds
 
 @dataclass(frozen=True)
@@ -616,8 +706,14 @@ def mask_union(masks: Sequence[int], mask: int) -> int:
 
 
 def mask_items(items: Sequence, mask: int) -> frozenset:
-    """The items whose bits are set in mask (bit i for items[i])."""
-    return frozenset(x for i, x in enumerate(items) if mask >> i & 1)
+    """The items whose bits are set in mask (bit i for items[i]), read off
+    the set bits alone."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(items[low.bit_length() - 1])
+        mask ^= low
+    return frozenset(out)
 
 
 def partition_masks(bits: Sequence[int], budget: Budget | None = None

@@ -75,6 +75,17 @@ class TestEdmonds:
         verdict = evaluate(ConditionId.EDMONDS, inst_d(2, arcs, (2, 0)))
         assert not verdict.holds
 
+    def test_large_sweep_stops_at_a_singleton(self):
+        # 40 vertices: nothing is kept per subset of the whole set, so a
+        # violation among the singletons comes back at once
+        n = 40
+        arcs = [({v - 1}, v) for v in range(1, n) if v != 20] + [({n - 1}, 0)]
+        budget = Budget(10**6)
+        verdict = evaluate("edmonds", inst_d(n, arcs, (0,) * (n - 1) + (1,)), budget)
+        assert verdict.witness == Witness("subset", (frozenset({20}),), 0, 1,
+                                          "arcs entering vs roots missing")
+        assert 10**6 - budget.remaining == 21
+
 
 class TestFrankMixed:
     def test_needs_mixed_graph(self):
@@ -395,6 +406,18 @@ class TestMalformedWitnesses:
             witness_violates("frank_mixed", inst,
                              Witness("subpartition", ((frozenset({1}), frozenset()),)))
         assert witness_violates("frank_mixed", inst, Witness("subpartition", ((),))) is False
+
+    @pytest.mark.parametrize("element", [("A", True), ("A", 1.0), ("A", False), ("A",), "A"])
+    def test_ground_element_read_strictly(self, element):
+        # ("A", True) and ("A", 1.0) equal and hash as the arc ("A", 1)
+        inst = Instance(graph=mh(2, [], [({0}, 1), ({1}, 0)]),
+                        bounds=Bounds(f=(0, 0), g=(1, 1), k=1, l=1, lprime=2))
+        with pytest.raises(ValueError):
+            witness_violates("lemma1b", inst, Witness("ground_subset", ((element,), "g")))
+        assert witness_violates("lemma1b", inst, Witness("ground_subset", ((("A", 1),), "g"))) \
+            is False
+        with pytest.raises(ValueError):
+            witness_violates("lemma1b", inst, Witness("ground_subset", (5, "g")))
 
     def edge(self):
         return Instance(graph=mh(2, [{0, 1}], []), roots=RootMultiset((1, 1)))

@@ -5,9 +5,10 @@ import importlib
 import importlib.util
 import inspect
 import re
+import textwrap
 from pathlib import Path
 
-from arbopack import SetFunctionOracle, TPolyhedron
+from arbopack import SetFunctionOracle, TPolyhedron, orientation
 from arbopack.conditions import CONDITIONS
 from arbopack.fuzz import SUITES
 from arbopack.packing import SPECIES
@@ -97,3 +98,25 @@ def test_mask_layers_stay_on_masks():
                 if callee in frozenset_helpers:
                     called.append(f"{name}:{node.lineno} {callee}")
     assert called == []
+
+
+def test_subset_sweeps_fold_their_terms():
+    """The value closure of every subset check and the orientation cover
+    sweeps read in-degree through structures.in_degree_fold, and reach
+    through reach_to_fold; none calls in_degree_mask or reach_to_mask per
+    subset, since the folds fall back to those themselves."""
+    builders = {check.value for rec in CONDITIONS.values() for check in rec.checks
+                if check.over.kind == "subset"}
+    assert len(builders) == 6
+    sweeps = sorted(builders, key=lambda fn: fn.__name__)
+    sweeps += [orientation._cover, orientation.check_cover, orientation.check_mixed_cover]
+    direct, folded = [], []
+    for fn in sweeps:
+        for node in ast.walk(ast.parse(textwrap.dedent(inspect.getsource(fn)))):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                if node.func.id in ("in_degree_mask", "reach_to_mask"):
+                    direct.append(f"{fn.__name__} {node.func.id}")
+                elif node.func.id == "in_degree_fold":
+                    folded.append(fn.__name__)
+    assert direct == []
+    assert sorted(set(folded)) == sorted([fn.__name__ for fn in builders] + ["_cover"])

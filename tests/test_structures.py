@@ -3,6 +3,8 @@ the canonical enumeration orders everything downstream relies on, and the
 oracle tables."""
 import gc
 import itertools
+import random
+import tracemalloc
 import weakref
 
 import pytest
@@ -31,12 +33,16 @@ from arbopack import (
     subsets,
     t_contains,
 )
+from arbopack import structures
 from arbopack.structures import (
     entering_mask,
+    in_degree_fold,
     in_degree_mask,
     mask_vertices,
+    reach_to_fold,
     reach_to_mask,
     subpartition_masks,
+    subset_masks,
     vertex_mask,
 )
 
@@ -282,6 +288,97 @@ class TestMaskForms:
                    for parts in subpartition_masks([1 << v for v in range(n)])]
             assert got == list(subpartitions(range(n)))
             assert len(got) == [1, 2, 5, 15, 52][n]  # Bell(n + 1)
+
+
+def _random_dypergraph(rng: random.Random) -> MixedHypergraph:
+    """Up to 7 vertices and 12 dyperedges with up to 3 tails each; a
+    dyperedge is repeated now and then, so parallels occur."""
+    n = rng.randint(2, 7)
+    dyps = []
+    for _ in range(rng.randint(0, 12)):
+        if dyps and rng.random() < 0.2:
+            dyps.append(rng.choice(dyps))
+            continue
+        head = rng.randrange(n)
+        others = [v for v in range(n) if v != head]
+        dyps.append((frozenset(rng.sample(others, rng.randint(1, min(3, len(others))))), head))
+    return MixedHypergraph(n, (), tuple(dyps))
+
+
+class TestSubsetFolds:
+    """The folds agree with in_degree_mask and reach_to_mask on every
+    subset: along subset_masks() over any pool, where they fold, and in
+    any other order, where they fall back."""
+
+    @staticmethod
+    def pools(n):
+        return [[v for v in range(n) if keep >> v & 1] for keep in range(1, 1 << n)]
+
+    @staticmethod
+    def agree(f, pool, include_empty, shuffle=None):
+        masks = list(subset_masks([1 << v for v in pool], include_empty))
+        if shuffle is not None:
+            shuffle.shuffle(masks)
+        degree, reach = in_degree_fold(f), reach_to_fold(f)
+        for x in masks:
+            assert degree(x) == in_degree_mask(f, x), (f, pool, x)
+            assert reach(x) == reach_to_mask(f, x), (f, pool, x)
+
+    @pytest.mark.parametrize("include_empty", [True, False])
+    def test_every_small_mixed_hypergraph(self, include_empty):
+        rng = random.Random(3)
+        for f in all_mixed_hypergraphs(3, 3):
+            for pool in self.pools(f.n):
+                self.agree(f, pool, include_empty)
+                self.agree(f, pool, include_empty, rng)
+
+    @pytest.mark.parametrize("include_empty", [True, False])
+    def test_seeded_dypergraphs(self, include_empty):
+        rng = random.Random(17)
+        for _ in range(200):
+            f = _random_dypergraph(rng)
+            pool = sorted(rng.sample(range(f.n), rng.randint(1, f.n)))
+            self.agree(f, pool, include_empty)
+            self.agree(f, pool, include_empty, rng)
+            self.agree(f, list(range(f.n)), include_empty)
+
+    def test_sweep_order_never_falls_back(self, monkeypatch):
+        """Along a sweep each term is folded: the direct forms run once,
+        for the empty set, when the fold is made."""
+        rng = random.Random(29)
+        cases = []
+        for _ in range(50):
+            f = _random_dypergraph(rng)
+            pool = sorted(rng.sample(range(f.n), rng.randint(1, f.n)))
+            masks = list(subset_masks([1 << v for v in pool], rng.random() < 0.5))
+            want = [(in_degree_mask(f, x), reach_to_mask(f, x)) for x in masks]
+            cases.append((f, masks, want))
+        calls = []
+        for name in ("in_degree_mask", "reach_to_mask"):
+            direct = getattr(structures, name)
+            monkeypatch.setattr(structures, name,
+                                lambda f, x, direct=direct: calls.append(x) or direct(f, x))
+        for f, masks, want in cases:
+            calls.clear()
+            degree, reach = in_degree_fold(f), reach_to_fold(f)
+            assert [(degree(x), reach(x)) for x in masks] == want
+            assert calls == [0, 0]
+
+    def test_keeps_two_levels_at_most(self):
+        # a table kept for every subset of 16 vertices would take over 5 MB;
+        # the levels of sizes 7 and 8 take about 1.5 MB
+        n = 16
+        f = MixedHypergraph(n, (), tuple((frozenset({(v + 1) % n}), v) for v in range(n)))
+        for make in (in_degree_fold, reach_to_fold):
+            tracemalloc.start()
+            try:
+                fold = make(f)
+                for x in subset_masks([1 << v for v in range(n)]):
+                    fold(x)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2.5e6, (make.__name__, peak)
 
 
 class TestInducedSubgraph:
