@@ -28,14 +28,7 @@ from .instances import (
 )
 from .matroids import ExtendedHypergraphicMatroid
 from .orientation import frank_orient, mixed_orient
-from .packing import (
-    SPECIES,
-    PackingSpec,
-    corollary1_pack,
-    find_packing,
-    main_pack,
-    mrb_mixed_pack,
-)
+from .packing import ROUTES
 from .packing import verify as verify_packing
 from .setfuncs import SetFunctionOracle
 from .structures import CapExceededError, PropertyViolationError, Verdict, Witness
@@ -45,8 +38,6 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_CAP = 3
 EXIT_PROPERTY = 4
-
-_PIPELINES = ("main", "cor1", "mrb_mixed")
 
 
 def _encode(value, names):
@@ -156,22 +147,9 @@ def _cmd_orient(args) -> int:
     return EXIT_OK
 
 
-def _packing_spec(name: str, inst: Instance) -> PackingSpec:
-    reads, _ = SPECIES[name]
-    return PackingSpec(name, **{field: getattr(inst, field) for field in reads})
-
-
 def _cmd_pack(args) -> int:
     inst, names = _load_instance(args.instance)
-    if args.spec == "main":
-        result = main_pack(inst.graph, inst.bounds, args.cap)
-    elif args.spec == "cor1":
-        k = None if inst.bounds is None else inst.bounds.k
-        result = corollary1_pack(inst.graph, inst.roots, k, args.cap)
-    elif args.spec == "mrb_mixed":
-        result = mrb_mixed_pack(inst.graph, inst.roots, inst.matroid, args.cap)
-    else:
-        result = find_packing(inst.graph, _packing_spec(args.spec, inst), args.cap)
+    result = ROUTES[args.spec].pack(inst, args.cap)
     if result is None:
         _emit({"feasible": False, "species": args.spec}, args)
         return EXIT_FAIL
@@ -188,18 +166,13 @@ def _cmd_pack(args) -> int:
 def _cmd_verify(args) -> int:
     inst, names = _load_instance(args.instance)
     packing = parse_packing(_load_json(args.packing), names)
-    species = "bounded_regular_limited" if args.spec == "main" else args.spec
-    try:
-        verdict = verify_packing(inst.graph, packing,
-                                 _packing_spec(species, inst), args.cap)
-    except ValueError as exc:
-        raise SchemaError(str(exc)) from None
-    if verdict.holds:
-        _emit({"valid": True, "species": species}, args)
-        return EXIT_OK
-    _emit({"valid": False, "species": species,
-           "witness": witness_to_doc(verdict.witness, names)}, args)
-    return EXIT_FAIL
+    spec = ROUTES[args.spec].spec(inst)
+    verdict = verify_packing(inst.graph, packing, spec, args.cap)
+    doc = {"valid": verdict.holds, "species": spec.species}
+    if not verdict.holds:
+        doc["witness"] = witness_to_doc(verdict.witness, names)
+    _emit(doc, args)
+    return EXIT_OK if verdict.holds else EXIT_FAIL
 
 
 def _cmd_rank(args) -> int:
@@ -298,15 +271,13 @@ def _build_parser(default_cap: int | None = None) -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_orient)
 
     p = sub.add_parser("pack", help="find a packing")
-    p.add_argument("--spec", required=True,
-                   choices=(*SPECIES, *_PIPELINES))
+    p.add_argument("--spec", required=True, choices=list(ROUTES))
     common(p)
     p.set_defaults(func=_cmd_pack)
 
     p = sub.add_parser("verify", help="verify a packing file")
     p.add_argument("--packing", required=True, help="packing JSON file")
-    p.add_argument("--spec", required=True,
-                   choices=(*SPECIES, "main"))
+    p.add_argument("--spec", required=True, choices=list(ROUTES))
     common(p)
     p.set_defaults(func=_cmd_verify)
 

@@ -79,7 +79,7 @@ class ConditionId(Enum):
     LEMMA1B = "lemma1b"
 
 
-def _need(inst: Instance, cond: ConditionId) -> Condition:
+def require_inputs(inst: Instance, cond: ConditionId) -> Condition:
     """The record of cond, once inst has everything it reads."""
     rec = CONDITIONS[cond]
     check_inputs(inst, cond.value, rec.graph, rec.needs, rec.bounds, rec.requires)
@@ -460,7 +460,7 @@ def evaluate(cond: ConditionId | str, inst: Instance, cap: int | Budget | None =
     """Evaluate one condition exhaustively; first violation becomes the witness."""
     cond = ConditionId(cond)
     budget = as_budget(cap)
-    for check in _need(inst, cond).checks:
+    for check in require_inputs(inst, cond).checks:
         verdict = check.over.sweep(inst, budget, check.value(inst), check.note)
         if not verdict:
             return verdict
@@ -470,7 +470,7 @@ def evaluate(cond: ConditionId | str, inst: Instance, cap: int | Budget | None =
 def witness_violates(cond: ConditionId | str, inst: Instance, witness: Witness) -> bool:
     """Recompute the inequality named by a witness; True iff it is violated."""
     cond = ConditionId(cond)
-    for check in _need(inst, cond).checks:
+    for check in require_inputs(inst, cond).checks:
         if check.over.kind == witness.kind:
             lhs, rhs = check.value(inst)(*check.over.args(inst, witness.payload))
             return lhs < rhs

@@ -25,7 +25,7 @@ from .matroids import (
     UniformMatroid,
 )
 from .orientation import frank_orient, mixed_orient, reduce_frank_to_new
-from .packing import PackingSpec, find_packing
+from .packing import ROUTES
 from .setfuncs import SetFunctionOracle, check_intersecting_supermodular
 from .structures import (
     Bounds,
@@ -123,7 +123,7 @@ def _check_edmonds_oracle(rng, n_max, budget, evaluator):
     roots = _random_roots(rng, n, max_count=1)
     inst = Instance(graph=graph, roots=roots)
     left = evaluator(ConditionId.EDMONDS, inst, budget).holds
-    right = find_packing(graph, PackingSpec("spanning", roots=roots), budget) is not None
+    right = ROUTES["spanning"].pack(inst, budget) is not None
     return inst, left, right, {"condition": "edmonds", "oracle": "spanning packing search"}
 
 
@@ -133,8 +133,7 @@ def _check_main_oracle(rng, n_max, budget, evaluator):
     bounds = _random_bounds(rng, n)
     inst = Instance(graph=graph, bounds=bounds)
     left = evaluator(ConditionId.MAIN, inst, budget).holds
-    spec = PackingSpec("bounded_regular_limited", bounds=bounds)
-    right = find_packing(graph, spec, budget) is not None
+    right = ROUTES["bounded_regular_limited"].pack(inst, budget) is not None
     return inst, left, right, {"condition": "main", "oracle": "bounded packing search"}
 
 

@@ -18,7 +18,8 @@ import itertools
 from collections.abc import Callable
 from dataclasses import dataclass
 
-from .conditions import ConditionId, Instance, closed_extensions, component_masks, evaluate
+from .conditions import (ConditionId, Instance, closed_extensions, component_masks, evaluate,
+                         require_inputs)
 from .setfuncs import SetFunctionOracle, check_intersecting_supermodular
 from .structures import (
     HOLDS,
@@ -123,10 +124,7 @@ def frank_orient(g: MixedHypergraph, h: SetFunctionOracle,
     falls short.
     """
     budget = as_budget(cap)
-    if g.dyperedges:
-        raise ValueError("orientation cover needs an undirected (hyper)graph")
-    if h.at((1 << g.n) - 1) != 0:
-        raise PropertyViolationError("h must vanish on the whole vertex set")
+    require_inputs(Instance(graph=g, h=h), ConditionId.FRANK_ORIENT)
     _require_intersecting_supermodular(h, budget)
     condition = evaluate(ConditionId.FRANK_ORIENT, Instance(graph=g, h=h), budget)
     if not condition:
@@ -261,12 +259,9 @@ def reduce_frank_to_new(g: MixedHypergraph, h: SetFunctionOracle,
     and deleting s solves the original instance.
     """
     budget = as_budget(cap)
-    if g.dyperedges:
-        raise ValueError("the reduction starts from an undirected (hyper)graph")
+    require_inputs(Instance(graph=g, h=h), ConditionId.FRANK_ORIENT)
     if g.n < 1:
         raise ValueError("need at least one vertex")
-    if h.at((1 << g.n) - 1) != 0:
-        raise PropertyViolationError("h must vanish on the whole vertex set")
     _require_intersecting_supermodular(h, budget)
 
     comps = scc_condense(g)

@@ -6,18 +6,20 @@ A packing is a tuple of members; each member is an arborescence described
 by its root (a vertex plus a copy index, so root multisets stay faithful)
 and one pick per element it uses: the element id together with the chosen
 tail and head.  Members never share an element.  The exhaustive oracle
-find_packing grounds every species in brute force and is the reference
-the constructive routines are compared against.  Each species' counting
-rule is written once, on the members' root copies and vertex masks, and
-read by both verify and find_packing.
+find_packing grounds every species in brute force and is the reference the
+constructive routines are compared against.  Each species' counting rule
+is written once, on the members' root copies and vertex masks, and read by
+both verify and find_packing.  ROUTES maps each name to its packing call
+and the spec that packing passes; the pipelines certify against it.
 """
 from __future__ import annotations
 
 import itertools
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
-from .conditions import ConditionId, evaluate
+from .conditions import ConditionId, evaluate, require_inputs
 from .gpoly import build_t, find_integer_point
 from .matroids import Matroid, check_rank_axioms
 from .orientation import mixed_orient, orientation_space
@@ -511,8 +513,8 @@ def corollary1_pack(d: MixedHypergraph, s: RootMultiset, k: int,
     at the new vertex into one member per used root arc.
     """
     budget = as_budget(cap)
-    verdict = evaluate(ConditionId.COR1,
-                       Instance(graph=d, roots=s, bounds=Bounds(k=k)), budget)
+    inst = Instance(graph=d, roots=s, bounds=Bounds(k=k))
+    verdict = evaluate(ConditionId.COR1, inst, budget)
     if not verdict:
         return verdict
     if k == 0:
@@ -542,12 +544,7 @@ def corollary1_pack(d: MixedHypergraph, s: RootMultiset, k: int,
             (Member(*copies[p.index - offset], _trimmed(p.head, records))
              for p in big.picks if p.index >= offset),
             key=lambda mm: (mm.root, mm.copy)))
-
-    spec = PackingSpec(
-        "bounded_regular_limited",
-        bounds=Bounds(f=(0,) * d.n, g=s.counts, k=k, l=0, lprime=max(k * d.n, 1)),
-    )
-    return _certified(d, Packing(tuple(members)), spec, budget)
+    return _certified(d, Packing(tuple(members)), ROUTES["cor1"].spec(inst), budget)
 
 
 def mrb_mixed_pack(f: MixedHypergraph, s: RootMultiset, m,
@@ -570,7 +567,7 @@ def mrb_mixed_pack(f: MixedHypergraph, s: RootMultiset, m,
     if isinstance(oriented, Verdict):
         return oriented
     d = orient_all(f, oriented.heads)
-    spec = PackingSpec("matroid_reachability_based", roots=s, matroid=m)
+    spec = ROUTES["mrb_mixed"].spec(Instance(f, s, m))
     inner = find_packing(d, spec, budget)
     if inner is None:
         raise PropertyViolationError("oriented instance lost its guaranteed packing")
@@ -610,4 +607,42 @@ def main_pack(f: MixedHypergraph, bounds: Bounds,
         raise PropertyViolationError("decoded dyperedge set misses the root condition")
 
     return _certified(f, _lift(inner, [e[:2] for e in point]),
-                      PackingSpec("bounded_regular_limited", bounds=bounds), budget)
+                      ROUTES["main"].spec(Instance(graph=f, bounds=bounds)), budget)
+
+
+# ---------------------------------------------------------------------------
+# routes
+
+class Route(NamedTuple):
+    """How a name packs an instance, and the spec that packing must pass."""
+
+    pack: Callable[[Instance, int | Budget | None], Packing | Verdict | None]
+    spec: Callable[[Instance], PackingSpec]
+
+
+def _species_route(species: str) -> Route:
+    """find_packing against the species' spec, read off the instance."""
+
+    def spec(inst: Instance) -> PackingSpec:
+        return PackingSpec(species, **{name: getattr(inst, name) for name in SPECIES[species][0]})
+    return Route(lambda inst, cap: find_packing(inst.graph, spec(inst), cap), spec)
+
+
+def _cor1_spec(inst: Instance) -> PackingSpec:
+    """What a cor1 packing meets: at most roots(v) members rooted at each
+    vertex v, each vertex in exactly k members, at most max(kn, 1) members."""
+    require_inputs(inst, ConditionId.COR1)
+    n, k = inst.graph.n, inst.bounds.k
+    return PackingSpec("bounded_regular_limited", bounds=Bounds(
+        f=(0,) * n, g=inst.roots.counts, k=k, l=0, lprime=max(k * n, 1)))
+
+
+ROUTES: dict[str, Route] = {species: _species_route(species) for species in SPECIES}
+ROUTES.update(
+    main=Route(lambda inst, cap: main_pack(inst.graph, inst.bounds, cap),
+               ROUTES["bounded_regular_limited"].spec),
+    cor1=Route(lambda inst, cap: corollary1_pack(
+        inst.graph, inst.roots, None if inst.bounds is None else inst.bounds.k, cap), _cor1_spec),
+    mrb_mixed=Route(lambda inst, cap: mrb_mixed_pack(inst.graph, inst.roots, inst.matroid, cap),
+                    ROUTES["matroid_reachability_based"].spec),
+)

@@ -18,6 +18,7 @@ from arbopack import (
     set_function_to_doc,
 )
 from arbopack.cli import EXIT_CAP, EXIT_FAIL, EXIT_OK, EXIT_PROPERTY, EXIT_USAGE, main
+from arbopack.packing import ROUTES
 
 
 def base_doc(**extra):
@@ -400,16 +401,29 @@ class TestCli:
         assert "holds" in capsys.readouterr().out
 
     def test_pack_verify_round_trip(self, write_json, capsys, tmp_path):
-        path = write_json("i.json", feasible_main())
-        code = main(["pack", "--spec", "main", "--instance", path,
-                     "--output", "json"])
-        assert code == EXIT_OK
-        packing_doc = json.loads(capsys.readouterr().out)
-        ppath = tmp_path / "p.json"
-        ppath.write_text(json.dumps(packing_doc))
-        code = main(["verify", "--spec", "main", "--instance", path,
-                     "--packing", str(ppath)])
-        assert code == EXIT_OK
+        """Every name pack takes, verify takes too, and it accepts the
+        document pack wrote under that name."""
+        verified = {"main": "bounded_regular_limited", "cor1": "bounded_regular_limited",
+                    "mrb_mixed": "matroid_reachability_based"}
+        for spec in ROUTES:
+            doc = feasible_main()
+            doc["roots"] = {"a": 1}
+            doc["matroid"] = {"kind": "free"}
+            if spec == "cor1":
+                doc["hyperedges"] = []  # cor1 packs a dypergraph
+            path = write_json(f"{spec}.json", doc)
+            code = main(["pack", "--spec", spec, "--instance", path,
+                         "--output", "json"])
+            assert code == EXIT_OK, spec
+            packing_doc = json.loads(capsys.readouterr().out)
+            assert packing_doc["species"] == spec
+            ppath = tmp_path / f"{spec}.packing.json"
+            ppath.write_text(json.dumps(packing_doc))
+            code = main(["verify", "--spec", spec, "--instance", path,
+                         "--packing", str(ppath), "--output", "json"])
+            assert code == EXIT_OK, spec
+            report = json.loads(capsys.readouterr().out)
+            assert report == {"valid": True, "species": verified.get(spec, spec)}
 
     def test_pack_infeasible_reports_witness(self, write_json, capsys):
         doc = feasible_main()
@@ -509,9 +523,11 @@ class TestCli:
         if drop == "roots":
             del doc["matroid"]  # a matroid on root copies needs the roots
         path = write_json("i.json", doc)
-        assert main(["pack", "--spec", spec, "--instance", path]) == EXIT_USAGE
-        captured = capsys.readouterr()
-        assert captured.out == "" and captured.err.startswith("error: ")
+        ppath = write_json("p.json", {"schema_version": SCHEMA_VERSION, "members": []})
+        for argv in (["pack"], ["verify", "--packing", ppath]):
+            assert main([*argv, "--spec", spec, "--instance", path]) == EXIT_USAGE
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err.startswith("error: ")
 
     def test_tpoly_point(self, write_json, capsys):
         path = write_json("i.json", feasible_main())
@@ -603,6 +619,23 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: h is not intersecting supermodular")
+
+    def test_nonzero_whole_set_demand_is_a_usage_error(self, write_json, capsys):
+        """frank_orient's input rules hold for the condition and the edge
+        engine alike: h(V) = 1 on one edge is bad input, not a broken
+        property."""
+        doc = {"schema_version": SCHEMA_VERSION, "vertices": ["a", "b"],
+               "hyperedges": [["a", "b"]]}
+        hdoc = {"values": [{"set": [], "value": 0}, {"set": ["a"], "value": 0},
+                           {"set": ["b"], "value": 0}, {"set": ["a", "b"], "value": 1}]}
+        path = write_json("i.json", doc)
+        hpath = write_json("h.json", hdoc)
+        for argv in (["check", "--theorem", "frank_orient"], ["orient", "--engine", "edge"]):
+            code = main([*argv, "--h", "table", "--h-table", hpath, "--instance", path])
+            assert code == EXIT_USAGE, argv
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "error: frank_orient needs h(V) = 0\n"
 
     def test_fuzz_small_run(self, capsys):
         code = main(["fuzz", "--seed", "1", "--count", "5", "--n-max", "3",

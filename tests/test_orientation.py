@@ -76,8 +76,9 @@ class TestFrankOrient:
     def test_requires_positive_whole_set_rejected(self):
         g = mh(2, [{0, 1}], [])
         h = table_h(2, {(0, 1): 1})
-        with pytest.raises(PropertyViolationError):
+        with pytest.raises(ValueError, match=r"^frank_orient needs h\(V\) = 0$") as err:
             frank_orient(g, h)
+        assert not isinstance(err.value, PropertyViolationError)
 
     def test_requires_supermodular(self):
         g = mh(3, [{0, 1}, {1, 2}], [])
@@ -318,8 +319,9 @@ class TestReduction:
 
     def test_rejects_nonzero_whole_set(self):
         g = mh(2, [{0, 1}], [])
-        with pytest.raises(PropertyViolationError):
+        with pytest.raises(ValueError, match=r"^frank_orient needs h\(V\) = 0$") as err:
             reduce_frank_to_new(g, table_h(2, {(0, 1): 1}))
+        assert not isinstance(err.value, PropertyViolationError)
 
 
 class TestCoverCheckers:

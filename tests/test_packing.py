@@ -1,5 +1,6 @@
 """Packing verification, the exhaustive existence search, and the three
 constructive pipelines."""
+import dataclasses
 import itertools
 import random
 
@@ -736,3 +737,53 @@ class TestMainPack:
             else:
                 refused += 1
         assert packed > 5 and refused > 5
+
+
+class TestRoutes:
+    def route_instance(self, name):
+        """One instance every route packs: a 3-cycle of arcs, an edge
+        a-b (dropped for cor1, which packs a dypergraph), one root at a
+        under the free matroid, and every vertex in exactly one member."""
+        roots = RootMultiset((1, 0, 0))
+        return Instance(
+            graph=mh(3, [] if name == "cor1" else [{0, 1}], [({0}, 1), ({1}, 2), ({2}, 0)]),
+            roots=roots, matroid=FreeMatroid(frozenset(roots.copies())),
+            bounds=Bounds(f=(0, 0, 0), g=(1, 1, 1), k=1, l=1, lprime=1))
+
+    def test_names(self):
+        assert list(packing.ROUTES) == [*packing.SPECIES, "main", "cor1", "mrb_mixed"]
+
+    @pytest.mark.parametrize("name", list(packing.ROUTES))
+    def test_certification_reads_the_route_spec(self, monkeypatch, name):
+        """The last certification of a route, the pipelines' own included,
+        checks the packing on the instance graph against the spec ROUTES
+        builds from the same instance, and verify accepts the packing."""
+        seen = []
+        original = packing._certified
+
+        def spy(f, got, spec, budget):
+            seen.append((f, spec))
+            return original(f, got, spec, budget)
+
+        monkeypatch.setattr(packing, "_certified", spy)
+        inst = self.route_instance(name)
+        route = packing.ROUTES[name]
+        got = route.pack(inst, None)
+        assert isinstance(got, Packing)
+        f, spec = seen[-1]
+        assert f is inst.graph and spec == route.spec(inst)
+        assert verify(inst.graph, got, spec).holds
+
+    def test_cor1_spec_is_derived_from_roots_and_k(self):
+        inst = self.route_instance("cor1")
+        spec = packing.ROUTES["cor1"].spec(inst)
+        assert spec == PackingSpec("bounded_regular_limited",
+                                   bounds=Bounds(f=(0, 0, 0), g=(1, 0, 0), k=1, l=0, lprime=3))
+
+    @pytest.mark.parametrize("field, message", [
+        ("roots", "cor1 needs a root multiset"), ("bounds", "cor1 needs bounds.k"),
+    ])
+    def test_cor1_spec_rejects_missing_input(self, field, message):
+        inst = dataclasses.replace(self.route_instance("cor1"), **{field: None}, matroid=None)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            packing.ROUTES["cor1"].spec(inst)

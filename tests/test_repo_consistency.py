@@ -1,17 +1,20 @@
 """The README's name lists and the benchmark's trace hooks follow the
-library, and no module imports a name it does not use."""
+library, the README's CLI examples print what it shows, and no module
+imports a name it does not use."""
 import ast
 import importlib
 import importlib.util
 import inspect
+import json
 import re
+import shlex
 import textwrap
 from pathlib import Path
 
-from arbopack import SetFunctionOracle, TPolyhedron, orientation
+from arbopack import SetFunctionOracle, TPolyhedron, cli, orientation
 from arbopack.conditions import CONDITIONS
 from arbopack.fuzz import SUITES
-from arbopack.packing import SPECIES
+from arbopack.packing import ROUTES, SPECIES
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -31,6 +34,38 @@ def test_readme_lists_every_condition():
 def test_readme_lists_every_species():
     names = _readme_names(r"`--spec` takes a species \((.*?)\)")
     assert names == list(SPECIES)
+
+
+def test_readme_lists_every_route():
+    """pack and verify take the names of packing.ROUTES, and the README
+    lists them in that order and says verify takes the same."""
+    names = _readme_names(r"`--spec` takes a species \((.*?\) or a pipeline shorthand \(.*?)\)\.")
+    assert names == list(ROUTES)
+    assert _readme_names(r"`verify --spec` takes the same names as (`pack`)") == ["pack"]
+
+
+def test_readme_cli_examples(tmp_path, monkeypatch, capsys):
+    """Every documented command on the demo instance exits 0 and prints
+    the documented JSON."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    demo = re.search(r"An instance file:\n\n```json\n(.*?)```", text, re.S)
+    (tmp_path / "demo.json").write_text(demo.group(1), encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    ran = []
+    for block in re.findall(r"```sh\n(.*?)```", text, re.S):
+        command, *shown = block.replace("\\\n", " ").splitlines()
+        argv = shlex.split(command)
+        if "demo.json" not in argv:
+            continue
+        redirect = argv.index(">") if ">" in argv else len(argv)
+        assert cli.main(argv[1:redirect]) == cli.EXIT_OK, command
+        printed = capsys.readouterr().out
+        if redirect < len(argv):
+            (tmp_path / argv[redirect + 1]).write_text(printed, encoding="utf-8")
+        documented = "\n".join(line for line in shown if not line.startswith("cat "))
+        assert json.loads(printed) == json.loads(documented), command
+        ran.append(argv[1])
+    assert ran == ["check", "orient", "pack", "verify", "rank", "tpoly"]
 
 
 def test_readme_lists_every_fuzz_suite():
