@@ -168,7 +168,7 @@ def _cmd_verify(args) -> int:
     packing = parse_packing(_load_json(args.packing), names)
     spec = ROUTES[args.spec].spec(inst)
     verdict = verify_packing(inst.graph, packing, spec, args.cap)
-    doc = {"valid": verdict.holds, "species": spec.species}
+    doc = {"valid": verdict.holds, "species": args.spec, "checked_species": spec.species}
     if not verdict.holds:
         doc["witness"] = witness_to_doc(verdict.witness, names)
     _emit(doc, args)

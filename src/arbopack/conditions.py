@@ -10,7 +10,11 @@ recomputes the same inequality at a given witness.
 The subset and subpartition sweeps run on vertex bit masks (bit v for
 vertex v), and their value closures read masks; a witness carries its
 member back as frozensets, and witness_violates() reads it forward to
-masks, rejecting a payload the sweep could not have produced.
+masks, rejecting a payload the sweep could not have produced.  A subset
+sweep hands its value each subset's in-degree, root count and reach,
+which ``subset_sweep`` takes from the subset one size smaller; a witness
+recomputes them directly.  A subpartition value reads entering from one
+table by part (``part_entering``) and its union's terms once per union.
 """
 from __future__ import annotations
 
@@ -31,6 +35,7 @@ from .gpoly import (
     member_window,
     root_window,
 )
+from .matroids import FreeMatroid
 from .structures import (
     HOLDS,
     Bounds,
@@ -42,18 +47,19 @@ from .structures import (
     as_budget,
     check_inputs,
     entering_mask,
-    in_degree_fold,
     in_degree_mask,
     is_int,
     low_bits,
     mask_bits,
     mask_sum,
     mask_vertices,
-    reach_to_fold,
+    part_entering,
     reach_to_mask,
+    reach_to_singles,
     scc_condense,
     subpartition_masks,
     subset_masks,
+    subset_sweep,
     vertex_mask,
 )
 
@@ -139,18 +145,35 @@ def _read_vertex(inst: Instance, v) -> int:
     return v
 
 
-def _subset_quantifier(pool, include_empty: bool, what: str = "a vertex") -> Quantifier:
-    """Quantifier over the subsets of pool(inst), a sorted vertex list, as
-    masks; nonempty ones only unless include_empty."""
+def _subset_quantifier(pool, include_empty: bool, what: str = "a vertex",
+                       reach: bool = False) -> Quantifier:
+    """Quantifier over the subsets X of pool(inst), a sorted vertex list, as
+    masks; nonempty ones only unless include_empty.  The value closure reads
+    X, its in-degree, its root count and, if reach is set, the mask of the
+    vertices reaching it (0 if not), which subset_sweep carries along; a
+    witness recomputes the three."""
 
-    def back(inst, x) -> int:
-        mask = _read_mask(inst, x, vertex_mask(pool(inst)), what)
-        if not (mask or include_empty):
+    def sweep(inst, budget, value, note) -> Verdict:
+        f = inst.graph
+        spread = reach_to_singles(f) if reach else None
+        for x, d, size, reach_x in subset_sweep(f, [1 << v for v in pool(inst)], include_empty,
+                                                budget, inst.roots.counts, spread):
+            lhs, rhs = value(x, d, size, reach_x)
+            if lhs < rhs:
+                return Verdict(False, Witness("subset", (mask_vertices(x),), lhs, rhs, note))
+        return HOLDS
+
+    def args(inst, payload) -> tuple:
+        if len(payload) != 1:
+            raise ValueError("a subset witness carries one member")
+        x = _read_mask(inst, payload[0], vertex_mask(pool(inst)), what)
+        if not (x or include_empty):
             raise ValueError("witness subset must be nonempty")
-        return mask
+        f = inst.graph
+        return (x, in_degree_mask(f, x), mask_sum(inst.roots.counts, x),
+                reach_to_mask(f, x) if reach else 0)
 
-    return _quantifier("subset", lambda inst, budget: subset_masks(
-        [1 << v for v in pool(inst)], include_empty, budget), mask_vertices, back)
+    return Quantifier("subset", sweep, args)
 
 
 def _read_parts(inst: Instance, parts, allowed: int = -1, what: str = "a vertex",
@@ -262,7 +285,7 @@ def _family_sweep(families) -> Quantifier:
 
 _VERTEX = _quantifier("vertex", lambda inst, budget: range(inst.graph.n), back=_read_vertex)
 _GLOBAL = Quantifier("global", _global_sweep)
-_SUBSETS = _subset_quantifier(lambda inst: range(inst.graph.n), True)
+_REACHED_SUBSETS = _subset_quantifier(lambda inst: range(inst.graph.n), True, reach=True)
 _NONEMPTY_SUBSETS = _subset_quantifier(lambda inst: range(inst.graph.n), False)
 _NON_ROOT_SUBSETS = _subset_quantifier(
     lambda inst: sorted(set(range(inst.graph.n)) - inst.roots.support()), False,
@@ -300,38 +323,37 @@ class Condition(NamedTuple):
     requires: tuple[tuple[Callable[[Instance], bool], str], ...] = ()  # (test, what it needs)
 
 
-# Subset and subpartition values read vertex masks; the parts of a
-# subpartition are disjoint, so their sum is their union.  The subset values
-# read in-degree and reach through folds, which take each subset's term from
-# the subset one size smaller that the sweep visited before it.
+# Subset and subpartition values read vertex masks.  A subset value reads
+# X's in-degree d, root count and reach as the sweep carries them.  The
+# parts of a subpartition are disjoint: their sum is their union, and the
+# values read entering from a table by part and their union terms once per
+# union.
 
 def _edmonds(inst):
-    f, s, total = inst.graph, inst.roots, inst.roots.size()
-    d = in_degree_fold(f)
-    return lambda x: (d(x), total - s.size_of(x))
+    total = inst.roots.size()
+    return lambda x, d, size, reach: (d, total - size)
 
 
 def _frank_mixed(inst):
-    f, s, total = inst.graph, inst.roots, inst.roots.size()
-    return lambda parts: (entering_mask(f, parts), total * len(parts) - s.size_of(sum(parts)))
+    s, entering = inst.roots, part_entering(inst.graph)
+    size, total = functools.cache(s.size_of), s.size()
+    return lambda parts: (entering(parts), total * len(parts) - size(sum(parts)))
 
 
 def _kkt(inst):
-    f, s = inst.graph, inst.roots
-    d, reach = in_degree_fold(f), reach_to_fold(f)
-    return lambda x: (d(x), s.size_of(reach(x)) - s.size_of(x))
+    """Király's condition with the free matroid: a rank is a root count."""
+    return _kiraly(Instance(inst.graph, inst.roots, FreeMatroid(inst.roots.copies())))
 
 
 def _dgns(inst):
-    f, rank = inst.graph, inst.roots.ranker(inst.matroid)
-    d, full = in_degree_fold(f), rank((1 << f.n) - 1)
-    return lambda x: (d(x), full - rank(x))
+    rank = inst.roots.ranker(inst.matroid)
+    full = rank((1 << inst.graph.n) - 1)
+    return lambda x, d, size, reach: (d, full - rank(x))
 
 
 def _kiraly(inst):
-    f, rank = inst.graph, inst.roots.ranker(inst.matroid)
-    d, reach = in_degree_fold(f), reach_to_fold(f)
-    return lambda x: (d(x), rank(reach(x)) - rank(x))
+    rank = inst.roots.ranker(inst.matroid)
+    return lambda x, d, size, reach: (d, rank(reach) - rank(x))
 
 
 def _family(f, member):
@@ -350,8 +372,8 @@ def _gy(inst):
 
 
 def _frank_orient(inst):
-    f, h = inst.graph, inst.h.at
-    return lambda parts: (entering_mask(f, parts), sum(h(y) for y in parts))
+    entering, h = part_entering(inst.graph), inst.h.at
+    return lambda parts: (entering(parts), sum(h(y) for y in parts))
 
 
 def _new_orient(inst):
@@ -363,29 +385,22 @@ def _bounded(slack, cap):
     """entering(P) >= k|P| - min(slack(V - U), cap(U)), U the union of P."""
 
     def value_of(inst):
-        f, b = inst.graph, inst.bounds
-        everything = (1 << f.n) - 1
-
-        def value(parts):
-            union = sum(parts)
-            return (entering_mask(f, parts),
-                    b.k * len(parts) - min(slack(b, everything ^ union), cap(b, union)))
-
-        return value
+        b, everything = inst.bounds, (1 << inst.graph.n) - 1
+        entering = part_entering(inst.graph)
+        forced = functools.cache(lambda union: min(slack(b, everything ^ union), cap(b, union)))
+        return lambda parts: (entering(parts), b.k * len(parts) - forced(sum(parts)))
 
     return value_of
 
 
 def _fkk(inst):
-    f, k = inst.graph, inst.roots.size()
-    d = in_degree_fold(f)
-    return lambda x: (d(x), k)
+    k = inst.roots.size()
+    return lambda x, d, size, reach: (d, k)
 
 
 def _cor1(inst):
-    f, s, k = inst.graph, inst.roots, inst.bounds.k
-    d = in_degree_fold(f)
-    return lambda x: (d(x), k - s.size_of(x))
+    k = inst.bounds.k
+    return lambda x, d, size, reach: (d, k - size)
 
 
 def _lemma1b(inst):
@@ -419,13 +434,13 @@ CONDITIONS: dict[ConditionId, Condition] = {
     ConditionId.FRANK_MIXED: Condition("mixed_graph", ("roots",), (
         Check(_SUBPARTITIONS, _frank_mixed, "elements entering vs roots missing"),)),
     ConditionId.KKT: Condition("digraph", ("roots",), (
-        Check(_SUBSETS, _kkt, "arcs entering vs reaching roots missing"),)),
+        Check(_REACHED_SUBSETS, _kkt, "arcs entering vs reaching roots missing"),)),
     ConditionId.MT: Condition("mixed_graph", ("roots",), (
         Check(_COMPONENT_FAMILIES, _mt, "elements entering vs reaching roots missing"),)),
     ConditionId.DGNS: Condition("digraph", ("roots", "matroid"), (
         Check(_NONEMPTY_SUBSETS, _dgns, "arcs entering vs rank deficiency"),)),
     ConditionId.KIRALY: Condition("digraph", ("roots", "matroid"), (
-        Check(_SUBSETS, _kiraly, "arcs entering vs reaching rank deficiency"),)),
+        Check(_REACHED_SUBSETS, _kiraly, "arcs entering vs reaching rank deficiency"),)),
     ConditionId.GY_DIGRAPH: Condition("digraph", ("roots", "matroid"), (
         Check(_COMPONENT_SUBSETS, _gy, "arcs entering vs component rank deficiency"),)),
     ConditionId.GY_MIXED: Condition("mixed_graph", ("roots", "matroid"), (

@@ -30,16 +30,16 @@ from .structures import (
     Witness,
     as_budget,
     entering_mask,
-    in_degree_fold,
     in_degree_mask,
     induced_subgraph,
     low_bits,
     mask_vertices,
     orient_all,
-    reach_to_fold,
     reach_to_mask,
+    reach_to_singles,
     scc_condense,
     subset_masks,
+    subset_sweep,
     vertex_mask,
 )
 
@@ -75,13 +75,14 @@ def orientation_space(f: MixedHypergraph):
 
 
 def _cover(f: MixedHypergraph, o: Orientation, cap: int | Budget | None, include_empty: bool,
-           demand: Callable[[int], int], note: str) -> Verdict:
+           demand: Callable[[int, int], int], note: str, spread: tuple[int, ...] | None = None
+           ) -> Verdict:
     """Does the orientation give every vertex mask x (nonempty ones only
-    unless include_empty) at least demand(x) entering elements?"""
-    budget = as_budget(cap)
-    d = in_degree_fold(orient_all(f, o.heads))
-    for x in subset_masks(low_bits(f.n), include_empty, budget):
-        lhs, rhs = d(x), demand(x)
+    unless include_empty) at least demand(x, the union of spread over x)
+    entering elements?"""
+    for x, lhs, _, reach in subset_sweep(orient_all(f, o.heads), low_bits(f.n), include_empty,
+                                         as_budget(cap), spread=spread):
+        rhs = demand(x, reach)
         if lhs < rhs:
             return Verdict(False, Witness("subset", (mask_vertices(x),), lhs, rhs, note))
     return HOLDS
@@ -91,16 +92,15 @@ def check_cover(g: MixedHypergraph, h: SetFunctionOracle, o: Orientation,
                 cap: int | Budget | None = None) -> Verdict:
     """Does the orientation give every nonempty vertex set at least h(X)
     entering heads?"""
-    return _cover(g, o, cap, False, h.at, "oriented in-degree below demand")
+    return _cover(g, o, cap, False, lambda x, reach: h.at(x), "oriented in-degree below demand")
 
 
 def check_mixed_cover(f: MixedHypergraph, h: SetFunctionOracle, o: Orientation,
                       cap: int | Budget | None = None) -> Verdict:
     """Does the orientation give every vertex set at least h(X) - h(P^X)
     entering elements, dyperedges included?"""
-    reach = reach_to_fold(f)
-    return _cover(f, o, cap, True, lambda x: h.at(x) - h.at(reach(x)),
-                  "oriented in-degree below relative demand")
+    return _cover(f, o, cap, True, lambda x, reach: h.at(x) - h.at(reach),
+                  "oriented in-degree below relative demand", reach_to_singles(f))
 
 
 def _require_intersecting_supermodular(h: SetFunctionOracle, budget: Budget) -> None:

@@ -9,17 +9,20 @@ between any two of its vertices, a dyperedge only from a tail to its head.
 Everything here is immutable and pure.  Inside the core a vertex set is a
 bit mask (bit v for vertex v): each structure builds its element masks
 once, and the entering rule, reachability and the subset and subpartition
-enumerations work on masks.  Along a subset sweep, in-degree and reach are
-folded from the subset one size smaller (``subset_fold``).  Frozensets
-stay at the boundary: ``Instance`` fields, witness payloads and the
-frozenset wrappers ``in_degree``, ``entering_count``, ``reach_from``,
-``reach_to``, ``subsets`` and ``subpartitions``.
+enumerations work on masks.  ``subset_sweep`` walks the subsets with their
+in-degree, weight and reach, each taken inline from the subset one size
+smaller, and ``part_entering`` reads the entering count of disjoint parts
+from one table by part mask.  Frozensets stay at the boundary:
+``Instance`` fields, witness payloads and the frozenset wrappers
+``in_degree``, ``entering_count``, ``reach_from``, ``reach_to``,
+``subsets`` and ``subpartitions``.
 Derived data (reachability, strongly connected components) is memoized on
 the instance; set functions and matroids keep their own tables by mask.
 ``check_inputs`` validates what an ``Instance`` gives a reader.
 """
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 from collections.abc import Callable, Iterable, Iterator, Sequence
@@ -252,7 +255,7 @@ def _reach_from_single(f: MixedHypergraph) -> tuple[int, ...]:
     return result
 
 
-def _reach_to_single(f: MixedHypergraph) -> tuple[int, ...]:
+def reach_to_singles(f: MixedHypergraph) -> tuple[int, ...]:
     """Per vertex, the mask of the vertices that reach it, memoized."""
     cached = f._cache.get("reach_to1")
     if cached is not None:
@@ -280,7 +283,7 @@ def reach_from(f: MixedHypergraph, x: Iterable[int]) -> frozenset[int]:
 def reach_to_mask(f: MixedHypergraph, x: int) -> int:
     """Mask of the vertices from which some vertex of mask x is reachable
     (x included)."""
-    return mask_union(_reach_to_single(f), x)
+    return mask_union(reach_to_singles(f), x)
 
 
 def reach_to(f: MixedHypergraph, x: Iterable[int]) -> frozenset[int]:
@@ -366,6 +369,28 @@ def entering_mask(f: MixedHypergraph, parts: Sequence[int]) -> int:
     return total + sum(in_degree_mask(f, inside, at) for inside, at in heads_by_inside.items())
 
 
+def part_entering(f: MixedHypergraph) -> Callable[[Sequence[int]], int]:
+    """entering_mask(f, parts) for pairwise disjoint parts, read from one
+    table by part mask: the bits of the hyperedges entering the part and
+    its in-degree.  A hyperedge entering several parts counts once in the
+    union of their bits; a dyperedge enters at most the part holding its
+    head, so the in-degrees add."""
+    table: dict[int, tuple[int, int]] = {}
+
+    def entering(parts: Sequence[int]) -> int:
+        crossing = total = 0
+        for y in parts:
+            term = table.get(y)
+            if term is None:
+                term = table[y] = (sum(1 << i for i, e in enumerate(f.hyperedge_masks)
+                                       if e & y and e & ~y), in_degree_mask(f, y))
+            crossing |= term[0]
+            total += term[1]
+        return total + crossing.bit_count()
+
+    return entering
+
+
 def in_degree(f: MixedHypergraph, x: Iterable[int]) -> int:
     """Number of dyperedges entering x."""
     return in_degree_mask(f, vertex_mask(x))
@@ -399,71 +424,50 @@ def _incidence(f: MixedHypergraph) -> tuple[tuple[tuple[int, ...], ...],
     return result
 
 
-def subset_fold(direct: Callable[[int], int], step: Callable[[int, int, int], int]
-                ) -> Callable[[int], int]:
-    """A term of the vertex masks a subset sweep visits, each taken from
-    the mask one size smaller.
+def subset_sweep(f: MixedHypergraph, bits: Sequence[int], include_empty: bool, budget: Budget,
+                 weights: Sequence[int] | None = None, spread: Sequence[int] | None = None
+                 ) -> Iterator[tuple[int, int, int, int]]:
+    """The masks of subset_masks(bits, include_empty, budget), in its order
+    and with its steps, each X as (X, in_degree_mask(f, X), mask_sum(weights,
+    X), mask_union(spread, X)); weights and spread default to zeros.
 
-    subset_masks() over increasing bits visits X by size, then
-    lexicographically, so X - v, v the top vertex of X, came one size
-    level earlier.  The fold keeps the terms of the previous and the
-    current level by mask, never more, and returns step(term of X - v, X,
-    v); a level is dropped once a mask folds from the one after it.  A
-    mask holding the pool's top vertex, the last singleton visited, has no
-    extension in the sweep, so from size 2 on it is not kept.  A mask
-    whose X - v is not kept, as on a call out of sweep order such as
-    witness_violates reading one witness, gets direct(X).
+    The walk is breadth first, so it goes one size level at a time.  A
+    queue holds (X, the index past X's top bit, X's terms) in sweep order;
+    X's children X | bits[j], j from that index on, are visited when X
+    leaves the queue and join it in the same order.  A child's terms are
+    X's with its new vertex v added inline: in-degree gains the dyperedges
+    into v with a tail outside the child and loses those out of v with
+    their head and every tail in it, the weight adds weights[v] and the
+    spread ORs in spread[v].  Only entries that have children are queued,
+    and the queue spans two size levels at most.
     """
-    empty = direct(0)
-    prev: dict[int, int] = {}
-    cur = {0: empty}
-    top = 0
-
-    def fold(x: int) -> int:
-        nonlocal prev, cur, top
-        if not x:
-            return empty
-        v = x.bit_length() - 1
-        rest = x ^ 1 << v
-        term = prev.get(rest)
-        if term is None:
-            term = cur.get(rest)
-            if term is None:
-                return direct(x)
-            if rest and not top:
-                top = max(cur)
-            prev, cur = cur, {}
-        term = step(term, x, v)
-        if not x & top:
-            cur[x] = term
-        return term
-
-    return fold
-
-
-def in_degree_fold(f: MixedHypergraph) -> Callable[[int], int]:
-    """in_degree_mask(f, x) along a subset sweep, in O(deg v) per mask:
-    in(X) = in(X - v) + the dyperedges into v with a tail outside X - the
-    dyperedges out of v with their head in X and every tail in X."""
     into, leaving = _incidence(f)
-
-    def step(total: int, x: int, v: int) -> int:
-        out = ~x
-        for tails in into[v]:
-            if tails & out:
-                total += 1
-        for tails, head in leaving[v]:
-            if head & x and not tails & out:
-                total -= 1
-        return total
-
-    return subset_fold(lambda x: in_degree_mask(f, x), step)
-
-
-def reach_to_fold(f: MixedHypergraph) -> Callable[[int], int]:
-    """reach_to_mask(f, x) along a subset sweep: reach(X - v) | reach(v)."""
-    single = _reach_to_single(f)
-    return subset_fold(lambda x: reach_to_mask(f, x), lambda reach, x, v: reach | single[v])
+    weights, spread = weights or (0,) * f.n, spread or (0,) * f.n
+    steps = [(bit, into[v], leaving[v], weights[v], spread[v], j + 1)
+             for j, bit in enumerate(bits) for v in (bit.bit_length() - 1,)]
+    last = len(steps)
+    spend = budget.spend
+    if include_empty:
+        spend()
+        yield 0, 0, 0, 0
+    queue = collections.deque([(0, 0, 0, 0, 0)])
+    while queue:
+        parent, start, degree, weight, reach = queue.popleft()
+        for bit, tails_in, tails_out, vweight, vreach, after in steps[start:]:
+            x = parent | bit
+            out = ~x
+            d = degree
+            for tails in tails_in:
+                if tails & out:
+                    d += 1
+            for tails, head in tails_out:
+                if head & x and not tails & out:
+                    d -= 1
+            w, r = weight + vweight, reach | vreach
+            spend()
+            yield x, d, w, r
+            if after < last:
+                queue.append((x, after, d, w, r))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
-"""Reference code only the tests read: the generic g-polymatroid toolkit
-and the component projection of a vertex set.
+"""Reference code only the tests read: the generic g-polymatroid toolkit,
+the component projection of a vertex set, and the condition sweeps as they
+were before ``subset_sweep`` and ``part_entering``.
 
 A g-polymatroid Q(p, b) is the set of vectors x with p(Z) <= x(Z) <= b(Z)
 for every subset Z of the ground, where p is supermodular, b is submodular
@@ -13,13 +14,26 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
+from arbopack.conditions import ConditionId, require_inputs
 from arbopack.structures import (
+    HOLDS,
+    Bounds,
     Budget,
     MixedHypergraph,
+    Verdict,
+    Witness,
     as_budget,
+    entering_mask,
     in_degree,
+    in_degree_mask,
+    low_bits,
+    mask_sum,
+    mask_vertices,
     reach_to,
+    reach_to_mask,
     scc_condense,
+    subpartition_masks,
+    subset_masks,
     subsets,
 )
 
@@ -148,3 +162,126 @@ def scc_projection(
             raise AssertionError("projection postcondition failed")
         out.append((comps[j], xj))
     return tuple(out)
+
+
+# ---------------------------------------------------------------------------
+# the subset and subpartition checks as swept before subset_sweep and
+# part_entering: each member's terms computed on their own
+
+def _edmonds(inst):
+    f, s, total = inst.graph, inst.roots, inst.roots.size()
+    return lambda x: (in_degree_mask(f, x), total - s.size_of(x))
+
+
+def _kkt(inst):
+    f, s = inst.graph, inst.roots
+    return lambda x: (in_degree_mask(f, x), s.size_of(reach_to_mask(f, x)) - s.size_of(x))
+
+
+def _dgns(inst):
+    f, rank = inst.graph, inst.roots.ranker(inst.matroid)
+    full = rank((1 << f.n) - 1)
+    return lambda x: (in_degree_mask(f, x), full - rank(x))
+
+
+def _kiraly(inst):
+    f, rank = inst.graph, inst.roots.ranker(inst.matroid)
+    return lambda x: (in_degree_mask(f, x), rank(reach_to_mask(f, x)) - rank(x))
+
+
+def _fkk(inst):
+    f, k = inst.graph, inst.roots.size()
+    return lambda x: (in_degree_mask(f, x), k)
+
+
+def _cor1(inst):
+    f, s, k = inst.graph, inst.roots, inst.bounds.k
+    return lambda x: (in_degree_mask(f, x), k - s.size_of(x))
+
+
+def _frank_mixed(inst):
+    f, s, total = inst.graph, inst.roots, inst.roots.size()
+    return lambda parts: (entering_mask(f, parts), total * len(parts) - s.size_of(sum(parts)))
+
+
+def _frank_orient(inst):
+    f, h = inst.graph, inst.h.at
+    return lambda parts: (entering_mask(f, parts), sum(h(y) for y in parts))
+
+
+def _bounded(slack, cap):
+    """entering(P) >= k|P| - min(slack(V - U), cap(U)), U the union of P."""
+
+    def value_of(inst):
+        f, b = inst.graph, inst.bounds
+        everything = (1 << f.n) - 1
+
+        def value(parts):
+            union = sum(parts)
+            return (entering_mask(f, parts),
+                    b.k * len(parts) - min(slack(b, everything ^ union), cap(b, union)))
+
+        return value
+
+    return value_of
+
+
+def _all(inst):
+    return range(inst.graph.n)
+
+
+def _non_roots(inst):
+    return sorted(set(range(inst.graph.n)) - inst.roots.support())
+
+
+_FG = _bounded(lambda b, rest: b.k - b.f_sum(rest), lambda b, union: mask_sum(b.g, union))
+# condition -> (pool, include_empty, value) of its subset check
+SUBSET_CHECKS = {
+    ConditionId.EDMONDS: (_all, False, _edmonds),
+    ConditionId.KKT: (_all, True, _kkt),
+    ConditionId.DGNS: (_all, False, _dgns),
+    ConditionId.KIRALY: (_all, True, _kiraly),
+    ConditionId.FKK: (_non_roots, False, _fkk),
+    ConditionId.COR1: (_all, False, _cor1),
+}
+# condition -> value of its subpartition check
+SUBPARTITION_CHECKS = {
+    ConditionId.FRANK_MIXED: _frank_mixed,
+    ConditionId.FRANK_ORIENT: _frank_orient,
+    ConditionId.FRANK_CAI: _FG,
+    ConditionId.GY_FG: _FG,
+    ConditionId.HSZ: _FG,
+    ConditionId.BERCZI_FRANK: _bounded(lambda b, rest: b.lprime - b.f_sum(rest),
+                                       lambda b, union: mask_sum(b.g, union)),
+    ConditionId.MAIN: _bounded(lambda b, rest: b.lprime - b.f_sum(rest), Bounds.g_k_sum),
+}
+
+
+def _first_violation(members, value, kind, out, note) -> Verdict:
+    for member in members:
+        lhs, rhs = value(member)
+        if lhs < rhs:
+            return Verdict(False, Witness(kind, (out(member),), lhs, rhs, note))
+    return HOLDS
+
+
+def reference_evaluate(cond: ConditionId | str, inst, cap: int | Budget | None = None) -> Verdict:
+    """evaluate() with the subset checks swept over subset_masks() and the
+    subpartition checks over subpartition_masks(), through the closures
+    above; every other check runs as in CONDITIONS."""
+    cond = ConditionId(cond)
+    budget = as_budget(cap)
+    for check in require_inputs(inst, cond).checks:
+        if check.over.kind == "subset":
+            pool, include_empty, value = SUBSET_CHECKS[cond]
+            masks = subset_masks([1 << v for v in pool(inst)], include_empty, budget)
+            verdict = _first_violation(masks, value(inst), "subset", mask_vertices, check.note)
+        elif check.over.kind == "subpartition":
+            verdict = _first_violation(
+                subpartition_masks(low_bits(inst.graph.n), budget), SUBPARTITION_CHECKS[cond](inst),
+                "subpartition", lambda parts: tuple(map(mask_vertices, parts)), check.note)
+        else:
+            verdict = check.over.sweep(inst, budget, check.value(inst), check.note)
+        if not verdict:
+            return verdict
+    return HOLDS

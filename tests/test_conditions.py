@@ -1,6 +1,7 @@
 """Condition evaluators: hand-checked verdicts, witness re-violation, the
 component projection, and its two counting claims."""
 import random
+import re
 
 import pytest
 
@@ -13,6 +14,7 @@ from arbopack import (
     Instance,
     MixedHypergraph,
     RootMultiset,
+    SetFunctionOracle,
     UniformMatroid,
     Witness,
     evaluate,
@@ -32,7 +34,7 @@ from arbopack.fuzz import (
 )
 
 from conftest import mh
-from reference import scc_projection
+from reference import SUBPARTITION_CHECKS, SUBSET_CHECKS, reference_evaluate, scc_projection
 
 
 def inst_d(n, arcs, counts, matroid=None):
@@ -593,6 +595,77 @@ class TestPinnedSweeps:
             got = verdict.witness
             assert (got.payload, got.lhs, got.rhs) == witness
             assert witness_violates(cond, inst, got)
+
+
+def connectivity_demand(rng, n):
+    """h(X) = k on the nonempty X missing a root r, less the arcs of a
+    random digraph entering X: intersecting supermodular with h(V) = 0,
+    and nonzero where rejection sampling finds no table (n >= 4)."""
+    r, k = rng.randrange(n), rng.randint(1, 2)
+    digraph = MixedHypergraph(n, (), _random_arcs(rng, n))
+    return SetFunctionOracle(n, lambda x: (k if x and r not in x else 0) - in_degree(digraph, x))
+
+
+def _outcome(evaluator, cond, inst, cap):
+    """The verdict and witness an evaluator gives under a Budget of cap
+    steps, or that it ran out, with the steps it left."""
+    budget = Budget(cap)
+    try:
+        verdict = evaluator(cond, inst, budget)
+    except CapExceededError:
+        return "cap", budget.remaining
+    w = verdict.witness
+    return verdict.holds, w and (w.kind, w.payload, w.lhs, w.rhs, w.note), budget.remaining
+
+
+class TestSweepsMatchPreviousClosures:
+    """Every condition gives the verdict, witness, Budget steps and cap
+    error of the subset_masks() and subpartition_masks() sweeps over the
+    closures that computed each member's terms on their own
+    (reference.reference_evaluate)."""
+
+    CAPS = (7, 100, 3000)
+
+    def test_reference_covers_every_changed_check(self):
+        changed = {cond for cond, rec in CONDITIONS.items() for check in rec.checks
+                   if check.over.kind in ("subset", "subpartition")}
+        assert changed == set(SUBSET_CHECKS) | set(SUBPARTITION_CHECKS)
+        assert len(changed) == 13
+
+    @pytest.mark.parametrize("cond", list(CONDITIONS), ids=lambda c: c.value)
+    def test_seeded_instances(self, cond):
+        rng = random.Random(f"previous-{cond.value}")
+        outcomes = set()
+        for _ in range(40):
+            n = rng.randint(1, 6)
+            roots = _random_roots(rng, n)
+            if rng.random() < 0.5:
+                v = rng.randrange(n)
+                roots = RootMultiset(tuple(rng.randint(1, 2) if u == v else 0
+                                           for u in range(n)))
+            inst = Instance(graph=random_graph(rng, n, CONDITIONS[cond].graph),
+                            roots=roots, matroid=_random_matroid(rng, roots),
+                            bounds=_random_bounds(rng, n),
+                            h=None if "h" not in CONDITIONS[cond].needs
+                            else _random_supermodular(rng, n) if n <= 3
+                            else connectivity_demand(rng, n))
+            for cap in self.CAPS:
+                try:
+                    want = _outcome(reference_evaluate, cond, inst, cap)
+                except ValueError as exc:
+                    with pytest.raises(ValueError, match=re.escape(str(exc))):
+                        evaluate(cond, inst, cap)
+                    continue
+                assert _outcome(evaluate, cond, inst, cap) == want, (inst, cap)
+                outcomes.add(want[0])
+        assert {True, False} <= outcomes
+
+    @pytest.mark.parametrize("cond,holds", sorted(PINNED_SWEEPS), ids=lambda v: str(v).lower())
+    def test_pinned_instances(self, cond, holds):
+        inst = pinned_instance(cond, holds)
+        got = [_outcome(evaluate, cond, inst, cap) for cap in self.CAPS]
+        assert got == [_outcome(reference_evaluate, cond, inst, cap) for cap in self.CAPS]
+        assert got[0] == ("cap", -1)
 
 
 class TestInputValidation:

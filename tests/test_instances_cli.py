@@ -423,7 +423,8 @@ class TestCli:
                          "--packing", str(ppath), "--output", "json"])
             assert code == EXIT_OK, spec
             report = json.loads(capsys.readouterr().out)
-            assert report == {"valid": True, "species": verified.get(spec, spec)}
+            assert report == {"valid": True, "species": spec,
+                              "checked_species": verified.get(spec, spec)}
 
     def test_pack_infeasible_reports_witness(self, write_json, capsys):
         doc = feasible_main()

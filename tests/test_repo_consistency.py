@@ -135,23 +135,35 @@ def test_mask_layers_stay_on_masks():
     assert called == []
 
 
+def _calls(fn) -> list[str]:
+    """The names fn's source calls, as plain names or attributes."""
+    tree = ast.parse(textwrap.dedent(inspect.getsource(fn)))
+    return [node.func.attr if isinstance(node.func, ast.Attribute) else node.func.id
+            for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and isinstance(node.func, (ast.Name, ast.Attribute))]
+
+
 def test_subset_sweeps_fold_their_terms():
-    """The value closure of every subset check and the orientation cover
-    sweeps read in-degree through structures.in_degree_fold, and reach
-    through reach_to_fold; none calls in_degree_mask or reach_to_mask per
-    subset, since the folds fall back to those themselves."""
-    builders = {check.value for rec in CONDITIONS.values() for check in rec.checks
-                if check.over.kind == "subset"}
-    assert len(builders) == 6
-    sweeps = sorted(builders, key=lambda fn: fn.__name__)
-    sweeps += [orientation._cover, orientation.check_cover, orientation.check_mixed_cover]
-    direct, folded = [], []
+    """The subset quantifier and the orientation cover sweep walk
+    structures.subset_sweep, which carries each subset's in-degree, root
+    count and reach; neither they nor the subset value closures compute a
+    term per subset, and the subpartition values on disjoint parts read
+    entering from structures.part_entering's table, not entering_mask."""
+    subset_checks = [check for rec in CONDITIONS.values() for check in rec.checks
+                     if check.over.kind == "subset"]
+    subset_values = {check.value for check in subset_checks}
+    assert len(subset_values) == 6
+    direct = {"in_degree_mask", "reach_to_mask", "size_of", "mask_sum", "subset_masks"}
+    sweeps = [subset_checks[0].over.sweep, orientation._cover]
+    assert {check.over.sweep.__code__ for check in subset_checks} == {sweeps[0].__code__}
+    callers = [orientation.check_cover, orientation.check_mixed_cover]
+    for fn in sorted(subset_values, key=lambda fn: fn.__name__) + sweeps + callers:
+        assert direct.isdisjoint(_calls(fn)), fn.__name__
     for fn in sweeps:
-        for node in ast.walk(ast.parse(textwrap.dedent(inspect.getsource(fn)))):
-            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
-                if node.func.id in ("in_degree_mask", "reach_to_mask"):
-                    direct.append(f"{fn.__name__} {node.func.id}")
-                elif node.func.id == "in_degree_fold":
-                    folded.append(fn.__name__)
-    assert direct == []
-    assert sorted(set(folded)) == sorted([fn.__name__ for fn in builders] + ["_cover"])
+        assert "subset_sweep" in _calls(fn), fn.__name__
+    subpartition_values = {check.value for rec in CONDITIONS.values() for check in rec.checks
+                           if check.over.kind == "subpartition"}
+    assert len(subpartition_values) == 5  # frank_mixed, frank_orient and three _bounded
+    for fn in subpartition_values:
+        calls = _calls(fn)
+        assert "entering_mask" not in calls and "part_entering" in calls, fn.__name__

@@ -34,15 +34,18 @@ from arbopack import (
     t_contains,
 )
 from arbopack import structures
+from arbopack.fuzz import _random_mixed_hypergraph
 from arbopack.structures import (
     entering_mask,
-    in_degree_fold,
     in_degree_mask,
+    mask_sum,
     mask_vertices,
-    reach_to_fold,
+    part_entering,
     reach_to_mask,
+    reach_to_singles,
     subpartition_masks,
     subset_masks,
+    subset_sweep,
     vertex_mask,
 )
 
@@ -305,31 +308,65 @@ def _random_dypergraph(rng: random.Random) -> MixedHypergraph:
     return MixedHypergraph(n, (), tuple(dyps))
 
 
-class TestSubsetFolds:
-    """The folds agree with in_degree_mask and reach_to_mask on every
-    subset: along subset_masks() over any pool, where they fold, and in
-    any other order, where they fall back."""
+class TestSubsetSweep:
+    """subset_sweep walks the masks of subset_masks() over any pool, in its
+    order, with its Budget steps and where a cap stops it, and carries the
+    terms in_degree_mask, mask_sum and reach_to_mask give on every mask."""
 
     @staticmethod
     def pools(n):
         return [[v for v in range(n) if keep >> v & 1] for keep in range(1, 1 << n)]
 
     @staticmethod
-    def agree(f, pool, include_empty, shuffle=None):
-        masks = list(subset_masks([1 << v for v in pool], include_empty))
-        if shuffle is not None:
-            shuffle.shuffle(masks)
-        degree, reach = in_degree_fold(f), reach_to_fold(f)
-        for x in masks:
-            assert degree(x) == in_degree_mask(f, x), (f, pool, x)
-            assert reach(x) == reach_to_mask(f, x), (f, pool, x)
+    def walk(masks, budget):
+        """The masks visited before the walk ended or ran out of budget,
+        whether it ran out, and the steps left."""
+        seen = []
+        try:
+            for x in masks:
+                seen.append(x if isinstance(x, int) else x[0])
+        except CapExceededError:
+            return seen, True, budget.remaining
+        return seen, False, budget.remaining
+
+    @pytest.mark.parametrize("include_empty", [True, False])
+    def test_masks_order_and_steps_match_subset_masks(self, include_empty):
+        """Every pool of up to 5 vertices, and shuffled pools of up to 9:
+        the same masks in the same order, one step each, and under every
+        cap from 1 to one past the sweep's length the same last mask and
+        the same steps left, also where a cap runs out inside a level."""
+        rng = random.Random(41)
+        pools = [pool for n in range(6) for pool in self.pools(n)] + [[]]
+        pools += [rng.sample(range(9), rng.randint(1, 9)) for _ in range(30)]
+        f = MixedHypergraph(9, (), tuple((frozenset({v}), (v + 1) % 9) for v in range(9)))
+        for pool in pools:
+            bits = [1 << v for v in pool]
+            total = 2 ** len(bits) - (not include_empty)
+            caps = range(1, total + 2) if total < 64 else sorted(rng.sample(range(1, total + 2), 12))
+            for cap in [10**6, *caps]:
+                budget = Budget(cap)
+                want = self.walk(subset_masks(bits, include_empty, budget), budget)
+                budget = Budget(cap)
+                got = self.walk(subset_sweep(f, bits, include_empty, budget), budget)
+                assert got == want, (pool, cap)
+                assert want[1] is (cap < total)
+
+    @staticmethod
+    def agree(f, pool, include_empty, rng):
+        weights = [rng.randint(0, 3) for _ in range(f.n)]
+        bits = [1 << v for v in pool]
+        want = [(x, in_degree_mask(f, x), mask_sum(weights, x), reach_to_mask(f, x))
+                for x in subset_masks(bits, include_empty)]
+        got = list(subset_sweep(f, bits, include_empty, Budget(), weights, reach_to_singles(f)))
+        assert got == want, (f, pool)
+        assert list(subset_sweep(f, bits, include_empty, Budget())) == [
+            (x, d, 0, 0) for x, d, _, _ in want]
 
     @pytest.mark.parametrize("include_empty", [True, False])
     def test_every_small_mixed_hypergraph(self, include_empty):
         rng = random.Random(3)
         for f in all_mixed_hypergraphs(3, 3):
             for pool in self.pools(f.n):
-                self.agree(f, pool, include_empty)
                 self.agree(f, pool, include_empty, rng)
 
     @pytest.mark.parametrize("include_empty", [True, False])
@@ -338,47 +375,70 @@ class TestSubsetFolds:
         for _ in range(200):
             f = _random_dypergraph(rng)
             pool = sorted(rng.sample(range(f.n), rng.randint(1, f.n)))
-            self.agree(f, pool, include_empty)
             self.agree(f, pool, include_empty, rng)
-            self.agree(f, list(range(f.n)), include_empty)
+            self.agree(f, list(range(f.n)), include_empty, rng)
 
-    def test_sweep_order_never_falls_back(self, monkeypatch):
-        """Along a sweep each term is folded: the direct forms run once,
-        for the empty set, when the fold is made."""
+    def test_never_computes_a_term_directly(self, monkeypatch):
+        """Every term is taken from the parent entry: none of the direct
+        forms runs during a sweep."""
         rng = random.Random(29)
         cases = []
         for _ in range(50):
             f = _random_dypergraph(rng)
             pool = sorted(rng.sample(range(f.n), rng.randint(1, f.n)))
-            masks = list(subset_masks([1 << v for v in pool], rng.random() < 0.5))
-            want = [(in_degree_mask(f, x), reach_to_mask(f, x)) for x in masks]
-            cases.append((f, masks, want))
+            bits, include_empty = [1 << v for v in pool], rng.random() < 0.5
+            want = [(x, in_degree_mask(f, x), mask_sum(f.n * [1], x), reach_to_mask(f, x))
+                    for x in subset_masks(bits, include_empty)]
+            cases.append((f, bits, include_empty, reach_to_singles(f), want))
         calls = []
-        for name in ("in_degree_mask", "reach_to_mask"):
+        for name in ("in_degree_mask", "reach_to_mask", "mask_sum", "mask_union",
+                     "reach_to_singles"):
             direct = getattr(structures, name)
             monkeypatch.setattr(structures, name,
-                                lambda f, x, direct=direct: calls.append(x) or direct(f, x))
-        for f, masks, want in cases:
-            calls.clear()
-            degree, reach = in_degree_fold(f), reach_to_fold(f)
-            assert [(degree(x), reach(x)) for x in masks] == want
-            assert calls == [0, 0]
+                                lambda *args, direct=direct: calls.append(args) or direct(*args))
+        for f, bits, include_empty, spread, want in cases:
+            assert list(subset_sweep(f, bits, include_empty, Budget(), f.n * [1], spread)) == want
+        assert calls == []
 
     def test_keeps_two_levels_at_most(self):
         # a table kept for every subset of 16 vertices would take over 5 MB;
-        # the levels of sizes 7 and 8 take about 1.5 MB
+        # the queue, which spans sizes 7 and 8 at most, peaks near 1.1 MB
         n = 16
         f = MixedHypergraph(n, (), tuple((frozenset({(v + 1) % n}), v) for v in range(n)))
-        for make in (in_degree_fold, reach_to_fold):
-            tracemalloc.start()
-            try:
-                fold = make(f)
-                for x in subset_masks([1 << v for v in range(n)]):
-                    fold(x)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak < 2.5e6, (make.__name__, peak)
+        weights, spread = [1] * n, reach_to_singles(f)
+        tracemalloc.start()
+        try:
+            for _ in subset_sweep(f, [1 << v for v in range(n)], True, Budget(), weights, spread):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5e6, peak
+
+
+class TestPartEntering:
+    """The per-part table gives entering_mask on every subpartition, one
+    table per graph read across all of them."""
+
+    def test_every_small_mixed_hypergraph(self):
+        graphs = 0
+        for f in all_mixed_hypergraphs(3, 3):
+            graphs += 1
+            entering = part_entering(f)
+            for parts in subpartition_masks([1 << v for v in range(f.n)]):
+                assert entering(parts) == entering_mask(f, parts), (f, parts)
+        assert graphs == 581
+
+    def test_seeded_mixed_hypergraphs(self):
+        rng = random.Random(13)
+        for i in range(40):
+            n = 6 if i % 4 == 0 else rng.randint(1, 6)
+            g = _random_mixed_hypergraph(rng, n, max_elements=10)
+            # repeat an element of each kind, so parallels occur
+            f = MixedHypergraph(n, g.hyperedges + g.hyperedges[:1], g.dyperedges + g.dyperedges[:1])
+            entering = part_entering(f)
+            for parts in subpartition_masks([1 << v for v in range(n)]):
+                assert entering(parts) == entering_mask(f, parts), (f, parts)
 
 
 class TestInducedSubgraph:
