@@ -291,9 +291,7 @@ def _build_parser(default_cap: int | None = None) -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_rank)
 
     p = sub.add_parser("tpoly", help="feasibility or an integer point of the packing polyhedron")
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--point", action="store_true")
-    group.add_argument("--feasible", action="store_true")
+    p.add_argument("--point", action="store_true")
     common(p)
     p.set_defaults(func=_cmd_tpoly)
 

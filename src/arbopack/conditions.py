@@ -198,21 +198,13 @@ def _global_sweep(inst, budget, value, note) -> Verdict:
     return HOLDS
 
 
-def closed_extensions(f: MixedHypergraph, outside: list[int], trace: int,
-                      budget: Budget, closed: list[bool]) -> Iterator[int]:
-    """The vertex masks Y in a component's closure that meet the component
-    C in the mask trace and have nothing entering Y - C: trace plus each
-    subset of outside (the bits of the closure minus C, increasing) that
-    nothing enters, in subset order; one budget step per subset.
-    closed[i] says whether nothing enters the i-th subset; the traces of
-    one component share the list, so each subset is tested once, by the
-    first trace that reaches it."""
-    for i, extra in enumerate(subset_masks(outside)):
-        budget.spend()
-        if i == len(closed):
-            closed.append(entering_mask(f, (extra,)) == 0)
-        if closed[i]:
-            yield trace | extra
+def quiet_extensions(f: MixedHypergraph, outside: list[int]) -> list[int]:
+    """The subsets of outside (the bits of a component C's closure minus C,
+    increasing) that nothing enters, as masks in subset order: the vertex
+    masks Y in the closure meeting C in a trace X and with nothing entering
+    Y - C are X plus each of them.  A caller spends one budget step per
+    subset of outside and trace."""
+    return [extra for extra in subset_masks(outside) if entering_mask(f, (extra,)) == 0]
 
 
 def component_masks(f: MixedHypergraph, c: frozenset[int]) -> tuple[int, list[int], list[int]]:
@@ -228,11 +220,13 @@ def _iter_component_families(
 ) -> Iterator[tuple[frozenset[int], int, tuple[int, ...]]]:
     """Per strongly connected component C with closure P: every family of
     vertex masks in P whose members meet C in pairwise disjoint nonempty
-    traces and whose parts outside C have nothing entering them."""
+    traces and whose parts outside C have nothing entering them: each
+    member is its trace plus one of C's quiet extensions."""
     for c in scc_condense(f):
         p, inside, outside = component_masks(f, c)
-        closed: list[bool] = []
-        cands = {trace: list(closed_extensions(f, outside, trace, budget, closed))
+        quiet = quiet_extensions(f, outside)
+        budget.spend(((1 << len(inside)) - 1) << len(outside))
+        cands = {trace: [trace | extra for extra in quiet]
                  for trace in subset_masks(inside, include_empty=False)}
         for traces in subpartition_masks(inside, budget):
             if not traces:
@@ -336,7 +330,7 @@ def _edmonds(inst):
 
 def _frank_mixed(inst):
     s, entering = inst.roots, part_entering(inst.graph)
-    size, total = functools.cache(s.size_of), s.size()
+    size, total = functools.cache(functools.partial(mask_sum, s.counts)), s.size()
     return lambda parts: (entering(parts), total * len(parts) - size(sum(parts)))
 
 
@@ -362,8 +356,8 @@ def _family(f, member):
 
 
 def _mt(inst):
-    s = inst.roots
-    return _family(inst.graph, lambda p, z: s.size_of(p) - s.size_of(z))
+    counts = inst.roots.counts
+    return _family(inst.graph, lambda p, z: mask_sum(counts, p) - mask_sum(counts, z))
 
 
 def _gy(inst):

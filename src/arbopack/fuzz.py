@@ -102,7 +102,11 @@ def _random_bounds(rng: random.Random, n: int) -> Bounds:
 
 def _random_supermodular(rng: random.Random, n: int) -> SetFunctionOracle:
     """Rejection-sample a small intersecting supermodular table with
-    h(empty) = h(V) = 0; the all-zero table is the fallback."""
+    h(empty) = h(V) = 0.  Past n = 3 rejection all but never succeeds, so
+    the fallback draws h constructively: a nonnegative sum of rooted
+    demands (1 on the nonempty X missing the root r) plus a modular term
+    whose weights sum to 0, each intersecting supermodular and 0 on the
+    empty set and on V."""
     full = frozenset(range(n))
     for _ in range(200):
         table = {}
@@ -114,7 +118,12 @@ def _random_supermodular(rng: random.Random, n: int) -> SetFunctionOracle:
         h = SetFunctionOracle.from_table(n, table)
         if check_intersecting_supermodular(h) is None:
             return h
-    return SetFunctionOracle.from_table(n, {x: 0 for x in subsets(range(n))})
+    rooted = [rng.randint(0, 2) for _ in range(n)]
+    weights = [rng.randint(-2, 2) for _ in range(n - 1)]
+    weights.append(-sum(weights))
+    return SetFunctionOracle.from_table(n, {
+        x: sum(c for r, c in enumerate(rooted) if x and r not in x) + sum(weights[v] for v in x)
+        for x in subsets(range(n))})
 
 
 def _check_edmonds_oracle(rng, n_max, budget, evaluator):

@@ -18,7 +18,7 @@ import itertools
 from collections.abc import Callable
 from dataclasses import dataclass
 
-from .conditions import (ConditionId, Instance, closed_extensions, component_masks, evaluate,
+from .conditions import (ConditionId, Instance, component_masks, evaluate, quiet_extensions,
                          require_inputs)
 from .setfuncs import SetFunctionOracle, check_intersecting_supermodular
 from .structures import (
@@ -29,13 +29,11 @@ from .structures import (
     Verdict,
     Witness,
     as_budget,
-    entering_mask,
     in_degree_mask,
     induced_subgraph,
     low_bits,
     mask_vertices,
     orient_all,
-    reach_to_mask,
     reach_to_singles,
     scc_condense,
     subset_masks,
@@ -175,11 +173,11 @@ def compute_h2(f: MixedHypergraph, h: SetFunctionOracle, c: frozenset[int],
     """
     budget = as_budget(cap)
     p, inside, outside = component_masks(f, c)
+    quiet, steps = quiet_extensions(f, outside), 1 << len(outside)
     table: dict[frozenset[int], tuple[int, frozenset[int]]] = {}
-    closed: list[bool] = []
     for x in subset_masks(inside, False, budget):
-        val, y = max(((h.at(y) - in_degree_mask(f, y), y)
-                      for y in closed_extensions(f, outside, x, budget, closed)),
+        budget.spend(steps)
+        val, y = max(((h.at(y) - in_degree_mask(f, y), y) for y in map(x.__or__, quiet)),
                      key=lambda pair: pair[0])
         table[mask_vertices(x)] = (val, mask_vertices(y))
     return H2Witness(c, mask_vertices(p), table)
@@ -190,10 +188,12 @@ def mixed_orient(f: MixedHypergraph, h: SetFunctionOracle,
     """Orient the hyperedges of f so d^-(X) >= h(X) - h(P^X) for all X.
 
     Checks the per-component family condition first and returns its verdict
-    when it fails.  Otherwise peels strongly connected components that
-    nothing leaves, lifting h through compute_h2 and orienting each
-    component's hyperedges with frank_orient; for small vertex sets the
-    merged orientation is swept against the demand afterwards.
+    when it fails.  Otherwise orients one strongly connected component at a
+    time, sinks first (scc_condense is topologically ordered), lifting h
+    through compute_h2 and orienting the component's hyperedges with
+    frank_orient.  Both read only the component and its closure, so the
+    order fixes no head.  For small vertex sets the merged orientation is
+    swept against the demand afterwards.
     """
     budget = as_budget(cap)
     if h.at(0) != 0:
@@ -204,18 +204,9 @@ def mixed_orient(f: MixedHypergraph, h: SetFunctionOracle,
         return condition
 
     heads: list[int | None] = [None] * len(f.hyperedges)
-    comps = [(comp, vertex_mask(comp)) for comp in scc_condense(f)]
-    active = (1 << f.n) - 1
-    while active:
-        c, inside = next(
-            (comp, mask) for comp, mask in comps
-            if not mask & ~active and entering_mask(f, (active & ~mask,)) == 0
-        )
-        p = reach_to_mask(f, inside)
-        if p & ~active:
-            raise PropertyViolationError("component closure escaped the active set")
+    for c in reversed(scc_condense(f)):
         w = compute_h2(f, h, c, budget)
-        base = h.at(p)
+        base = h.at(vertex_mask(w.closure))
         if w.table[c][0] - base != 0:
             raise PropertyViolationError(
                 "lifted demand of a whole component must vanish; "
@@ -233,7 +224,6 @@ def mixed_orient(f: MixedHypergraph, h: SetFunctionOracle,
                 "instance; h breaks its declared properties")
         for local_idx, local_head in enumerate(sub.heads):
             heads[hmap[local_idx]] = order[local_head]
-        active &= ~inside
 
     if any(x is None for x in heads):
         raise PropertyViolationError("a hyperedge crosses component boundaries")

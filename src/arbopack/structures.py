@@ -482,16 +482,12 @@ class RootMultiset:
     """
 
     counts: tuple[int, ...]
-    # (vertex bit, count) per vertex with roots, for size_of
-    weights: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
     _copies: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "counts", tuple(int(c) for c in self.counts))
         if any(c < 0 for c in self.counts):
             raise ValueError("root multiplicities must be nonnegative")
-        object.__setattr__(self, "weights", tuple(
-            (1 << v, c) for v, c in enumerate(self.counts) if c))
         object.__setattr__(self, "_copies", tuple(
             (v, i) for v, c in enumerate(self.counts) for i in range(c)))
 
@@ -536,10 +532,6 @@ class RootMultiset:
         support = sum(bit for bit, _ in copies)
         rank = functools.cache(lambda x: matroid.rank_mask(sum(z for bit, z in copies if x & bit)))
         return lambda x: rank(x & support)
-
-    def size_of(self, x: int) -> int:
-        """Number of root copies on the vertex mask x."""
-        return sum(c for bit, c in self.weights if x & bit)
 
     def support(self) -> frozenset[int]:
         return frozenset(v for v, c in enumerate(self.counts) if c)

@@ -1,6 +1,7 @@
 """Reference code only the tests read: the generic g-polymatroid toolkit,
-the component projection of a vertex set, and the condition sweeps as they
-were before ``subset_sweep`` and ``part_entering``.
+the component projection of a vertex set, the condition sweeps as they
+were before ``subset_sweep`` and ``part_entering``, and component peeling
+as it was before ``quiet_extensions`` and the sinks-first orientation loop.
 
 A g-polymatroid Q(p, b) is the set of vectors x with p(Z) <= x(Z) <= b(Z)
 for every subset Z of the ground, where p is supermodular, b is submodular
@@ -11,21 +12,29 @@ and ``gpoly.check_axioms`` are cross-checked against.
 """
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable
+import itertools
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 
-from arbopack.conditions import ConditionId, require_inputs
+from arbopack.conditions import (_COMPONENT_FAMILIES, ConditionId, Instance, _family_sweep,
+                                 component_masks, require_inputs)
+from arbopack.orientation import (_VERIFY_SWEEP_LIMIT, H2Witness, Orientation,
+                                  _require_intersecting_supermodular, check_mixed_cover,
+                                  frank_orient)
+from arbopack.setfuncs import SetFunctionOracle
 from arbopack.structures import (
     HOLDS,
     Bounds,
     Budget,
     MixedHypergraph,
+    PropertyViolationError,
     Verdict,
     Witness,
     as_budget,
     entering_mask,
     in_degree,
     in_degree_mask,
+    induced_subgraph,
     low_bits,
     mask_sum,
     mask_vertices,
@@ -35,6 +44,7 @@ from arbopack.structures import (
     subpartition_masks,
     subset_masks,
     subsets,
+    vertex_mask,
 )
 
 
@@ -170,12 +180,13 @@ def scc_projection(
 
 def _edmonds(inst):
     f, s, total = inst.graph, inst.roots, inst.roots.size()
-    return lambda x: (in_degree_mask(f, x), total - s.size_of(x))
+    return lambda x: (in_degree_mask(f, x), total - mask_sum(s.counts, x))
 
 
 def _kkt(inst):
     f, s = inst.graph, inst.roots
-    return lambda x: (in_degree_mask(f, x), s.size_of(reach_to_mask(f, x)) - s.size_of(x))
+    return lambda x: (in_degree_mask(f, x),
+                      mask_sum(s.counts, reach_to_mask(f, x)) - mask_sum(s.counts, x))
 
 
 def _dgns(inst):
@@ -196,12 +207,13 @@ def _fkk(inst):
 
 def _cor1(inst):
     f, s, k = inst.graph, inst.roots, inst.bounds.k
-    return lambda x: (in_degree_mask(f, x), k - s.size_of(x))
+    return lambda x: (in_degree_mask(f, x), k - mask_sum(s.counts, x))
 
 
 def _frank_mixed(inst):
     f, s, total = inst.graph, inst.roots, inst.roots.size()
-    return lambda parts: (entering_mask(f, parts), total * len(parts) - s.size_of(sum(parts)))
+    return lambda parts: (entering_mask(f, parts),
+                          total * len(parts) - mask_sum(s.counts, sum(parts)))
 
 
 def _frank_orient(inst):
@@ -268,7 +280,8 @@ def _first_violation(members, value, kind, out, note) -> Verdict:
 def reference_evaluate(cond: ConditionId | str, inst, cap: int | Budget | None = None) -> Verdict:
     """evaluate() with the subset checks swept over subset_masks() and the
     subpartition checks over subpartition_masks(), through the closures
-    above; every other check runs as in CONDITIONS."""
+    above, and the component family checks over iter_component_families
+    below; every other check runs as in CONDITIONS."""
     cond = ConditionId(cond)
     budget = as_budget(cap)
     for check in require_inputs(inst, cond).checks:
@@ -280,8 +293,114 @@ def reference_evaluate(cond: ConditionId | str, inst, cap: int | Budget | None =
             verdict = _first_violation(
                 subpartition_masks(low_bits(inst.graph.n), budget), SUBPARTITION_CHECKS[cond](inst),
                 "subpartition", lambda parts: tuple(map(mask_vertices, parts)), check.note)
+        elif check.over is _COMPONENT_FAMILIES:
+            verdict = _FAMILIES.sweep(inst, budget, check.value(inst), check.note)
         else:
             verdict = check.over.sweep(inst, budget, check.value(inst), check.note)
         if not verdict:
             return verdict
     return HOLDS
+
+
+# ---------------------------------------------------------------------------
+# component peeling as it was before quiet_extensions and the sinks-first
+# loop: each trace tests the outside subsets through a shared memo, and
+# mixed_orient searches every round for a component nothing remaining enters
+
+def closed_extensions(f: MixedHypergraph, outside: list[int], trace: int,
+                      budget: Budget, closed: list[bool]) -> Iterator[int]:
+    """trace plus each subset of outside that nothing enters, in subset
+    order; one budget step per subset.  closed[i] says whether nothing
+    enters the i-th subset, filled by the first trace that reaches it."""
+    for i, extra in enumerate(subset_masks(outside)):
+        budget.spend()
+        if i == len(closed):
+            closed.append(entering_mask(f, (extra,)) == 0)
+        if closed[i]:
+            yield trace | extra
+
+
+def iter_component_families(f: MixedHypergraph, budget: Budget):
+    """conditions._iter_component_families over closed_extensions."""
+    for c in scc_condense(f):
+        p, inside, outside = component_masks(f, c)
+        closed: list[bool] = []
+        cands = {trace: list(closed_extensions(f, outside, trace, budget, closed))
+                 for trace in subset_masks(inside, include_empty=False)}
+        for traces in subpartition_masks(inside, budget):
+            if not traces:
+                continue
+            for choice in itertools.product(*(cands[t] for t in traces)):
+                budget.spend()
+                yield c, p, choice
+
+
+_FAMILIES = _family_sweep(iter_component_families)
+
+
+def compute_h2(f: MixedHypergraph, h, c: frozenset[int], cap: int | Budget | None = None):
+    """orientation.compute_h2 over closed_extensions."""
+    budget = as_budget(cap)
+    p, inside, outside = component_masks(f, c)
+    table = {}
+    closed: list[bool] = []
+    for x in subset_masks(inside, False, budget):
+        val, y = max(((h.at(y) - in_degree_mask(f, y), y)
+                      for y in closed_extensions(f, outside, x, budget, closed)),
+                     key=lambda pair: pair[0])
+        table[mask_vertices(x)] = (val, mask_vertices(y))
+    return H2Witness(c, mask_vertices(p), table)
+
+
+def mixed_orient(f: MixedHypergraph, h, cap: int | Budget | None = None):
+    """orientation.mixed_orient peeling, each round, the first component in
+    scc_condense order that nothing in the remaining vertices enters."""
+    budget = as_budget(cap)
+    if h.at(0) != 0:
+        raise ValueError("h must vanish on the empty set")
+    _require_intersecting_supermodular(h, budget)
+    condition = reference_evaluate(ConditionId.NEW_ORIENT, Instance(graph=f, h=h), budget)
+    if not condition:
+        return condition
+
+    heads: list[int | None] = [None] * len(f.hyperedges)
+    comps = [(comp, vertex_mask(comp)) for comp in scc_condense(f)]
+    active = (1 << f.n) - 1
+    while active:
+        c, inside = next(
+            (comp, mask) for comp, mask in comps
+            if not mask & ~active and entering_mask(f, (active & ~mask,)) == 0
+        )
+        p = reach_to_mask(f, inside)
+        if p & ~active:
+            raise PropertyViolationError("component closure escaped the active set")
+        w = compute_h2(f, h, c, budget)
+        base = h.at(p)
+        if w.table[c][0] - base != 0:
+            raise PropertyViolationError(
+                "lifted demand of a whole component must vanish; "
+                "h breaks its declared properties")
+        order = sorted(c)
+        sub, hmap, _ = induced_subgraph(f, c)
+        local_graph = MixedHypergraph(sub.n, sub.hyperedges)
+        local_h = {frozenset(map(order.index, x)): val - base for x, (val, _) in w.table.items()}
+        sub = frank_orient(local_graph, SetFunctionOracle.from_table(len(order), local_h, "h'"),
+                           budget)
+        if isinstance(sub, Verdict):
+            raise PropertyViolationError(
+                "component orientation condition failed inside a feasible "
+                "instance; h breaks its declared properties")
+        for local_idx, local_head in enumerate(sub.heads):
+            heads[hmap[local_idx]] = order[local_head]
+        active &= ~inside
+
+    if any(x is None for x in heads):
+        raise PropertyViolationError("a hyperedge crosses component boundaries")
+    result = Orientation(tuple(heads))
+    if f.n <= _VERIFY_SWEEP_LIMIT:
+        verdict = check_mixed_cover(f, h, result, budget)
+        if not verdict:
+            raise PropertyViolationError(
+                "constructed orientation misses a demand; "
+                "h breaks its declared properties")
+    return result

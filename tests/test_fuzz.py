@@ -1,11 +1,13 @@
 """Differential fuzz harness: deterministic reports, faulty-evaluator
 self-test, and replayable counterexample documents."""
 import json
+import random
 
 import pytest
 
-from arbopack import ConditionId, Verdict, evaluate, parse_instance
-from arbopack.fuzz import SUITES, run_fuzz, run_suite
+from arbopack import (ConditionId, Verdict, check_intersecting_supermodular, evaluate,
+                      parse_instance, subsets)
+from arbopack.fuzz import SUITES, _random_supermodular, run_fuzz, run_suite
 
 
 class TestDeterminism:
@@ -90,3 +92,15 @@ class TestErrors:
         report = run_suite("main_oracle", 1, count=10, n_max=3, cap=5)
         assert report["skipped"] == 10
         assert report["checked"] == 0
+
+
+class TestRandomSupermodular:
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_draws_past_rejection_are_nonzero_and_supermodular(self, n):
+        # rejection sampling all but never succeeds here, so these are the
+        # constructive fallback's draws
+        for seed in range(20):
+            h = _random_supermodular(random.Random(seed), n)
+            assert check_intersecting_supermodular(h) is None, seed
+            assert h(frozenset()) == h(frozenset(range(n))) == 0
+            assert any(h(x) for x in subsets(range(n))), seed

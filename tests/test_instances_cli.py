@@ -561,6 +561,12 @@ class TestCli:
         assert report["witness"]["kind"] == "ground_subset"
         assert len(calls) == 1
 
+    def test_tpoly_feasible_flag_is_gone(self, write_json, capsys):
+        # tpoly without --point already runs the emptiness test
+        path = write_json("i.json", feasible_main())
+        assert main(["tpoly", "--feasible", "--instance", path]) == EXIT_USAGE
+        assert "--feasible" in capsys.readouterr().err
+
     def test_malformed_json_usage_error(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{nope")

@@ -29,10 +29,14 @@ from arbopack import (
     Witness,
 )
 from arbopack import conditions
-from arbopack.structures import entering_mask, vertex_mask
-from arbopack.fuzz import _random_matroid, _random_roots
+from arbopack.structures import (DEFAULT_CAP, CapExceededError, entering_mask, scc_condense,
+                                 vertex_mask)
+from arbopack.fuzz import (_random_arcs, _random_matroid, _random_mixed_hypergraph, _random_roots,
+                           _random_supermodular)
 
-from conftest import mh
+import reference
+from conftest import all_mixed_graphs, mh
+from test_acceptance import _root_demand_oracles
 
 
 def table_h(n, values):
@@ -410,3 +414,73 @@ class TestPinned:
         with pytest.raises(PropertyViolationError, match=r"at \[0, 1, 2\], \[1, 2, 3\]"):
             reduce_frank_to_new(self.CYCLE, bent, budget)
         assert 100_000 - budget.remaining == 1355
+
+
+def _outcome(fn, *args, cap):
+    """What fn(*args, budget) gives under a Budget of cap steps, or the type
+    of the error it raised, with the steps it left."""
+    budget = Budget(cap)
+    try:
+        got = fn(*args, budget)
+    except (CapExceededError, PropertyViolationError) as exc:
+        got = type(exc)
+    return got, budget.remaining
+
+
+class TestPeelingMatchesPreviousLoops:
+    """mixed_orient's sinks-first loop, compute_h2 and the component family
+    sweeps over quiet_extensions give the heads, witnesses, lifted tables,
+    errors and Budget steps of the previous loops (reference.mixed_orient,
+    reference.compute_h2 and reference.iter_component_families)."""
+
+    @staticmethod
+    def _compare(f, h, caps, inst=None, conds=()):
+        """Compare mixed_orient, compute_h2 on every component and conds on
+        inst under each cap; the outcomes of mixed_orient."""
+        outcomes = []
+        for cap in caps:
+            got = _outcome(mixed_orient, f, h, cap=cap)
+            assert got == _outcome(reference.mixed_orient, f, h, cap=cap), (f, cap)
+            outcomes.append(got)
+            for c in scc_condense(f):
+                assert _outcome(compute_h2, f, h, c, cap=cap) == \
+                    _outcome(reference.compute_h2, f, h, c, cap=cap), (f, c, cap)
+            for cond in conds:
+                assert _outcome(evaluate, cond, inst, cap=cap) == \
+                    _outcome(reference.reference_evaluate, cond, inst, cap=cap), (inst, cond, cap)
+        return outcomes
+
+    def test_exhaustive_mixed_graphs(self):
+        # every mixed_orient run here takes under 200 steps (asserted below)
+        # and every compute_h2 run at most 7 * (1 + 1), so cap 200 would
+        # repeat the default cap's outcome with fewer steps left
+        kinds, most = set(), 0
+        for f in all_mixed_graphs(3, 3):
+            for h in _root_demand_oracles(f.n):
+                outcomes = self._compare(f, h, (30, DEFAULT_CAP))
+                kinds |= {type(got) for got, _ in outcomes}
+                most = max(most, DEFAULT_CAP - outcomes[-1][1])
+        assert most < 200
+        assert kinds == {Orientation, Verdict, type}
+
+    def test_seeded_mixed_hypergraphs(self):
+        rng = random.Random("sinks-first")
+        kinds, capped = set(), 0
+        for _ in range(150):
+            n = rng.randint(1, 5)
+            if rng.random() < 0.5:
+                edges = tuple(e for e in subsets(range(n)) if len(e) == 2 and rng.random() < 0.3)
+                f = MixedHypergraph(n, edges, _random_arcs(rng, n, 0.25))
+            else:
+                f = _random_mixed_hypergraph(rng, n, max_elements=5)
+            roots = _random_roots(rng, n)
+            matroid = _random_matroid(rng, roots)
+            h = (SetFunctionOracle.from_matroid_roots(n, roots, matroid) if rng.random() < 0.5
+                 else _random_supermodular(rng, n))
+            inst = Instance(graph=f, roots=roots, matroid=matroid, h=h)
+            conds = (ConditionId.MT, ConditionId.GY_MIXED) if f.is_mixed_graph() else ()
+            outcomes = self._compare(f, h, (30, 200, DEFAULT_CAP), inst,
+                                     conds + (ConditionId.NEW_ORIENT,))
+            kinds |= {type(got) for got, _ in outcomes}
+            capped += outcomes[1][0] is CapExceededError
+        assert kinds == {Orientation, Verdict, type} and capped > 10

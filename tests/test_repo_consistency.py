@@ -153,7 +153,7 @@ def test_subset_sweeps_fold_their_terms():
                      if check.over.kind == "subset"]
     subset_values = {check.value for check in subset_checks}
     assert len(subset_values) == 6
-    direct = {"in_degree_mask", "reach_to_mask", "size_of", "mask_sum", "subset_masks"}
+    direct = {"in_degree_mask", "reach_to_mask", "mask_sum", "subset_masks"}
     sweeps = [subset_checks[0].over.sweep, orientation._cover]
     assert {check.over.sweep.__code__ for check in subset_checks} == {sweeps[0].__code__}
     callers = [orientation.check_cover, orientation.check_mixed_cover]

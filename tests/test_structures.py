@@ -522,7 +522,7 @@ class TestRootMultiset:
         s = RootMultiset((2, 0, 1))
         assert s.copies() == ((0, 0), (0, 1), (2, 0))
         assert s.size() == 3
-        assert s.size_of(0b011) == 2  # vertices 0 and 1
+        assert mask_sum(s.counts, 0b011) == 2  # vertices 0 and 1
         assert s.support() == frozenset({0, 2})
 
     def test_restrict_keeps_copy_identity(self):
