@@ -11,10 +11,11 @@ The subset and subpartition sweeps run on vertex bit masks (bit v for
 vertex v), and their value closures read masks; a witness carries its
 member back as frozensets, and witness_violates() reads it forward to
 masks, rejecting a payload the sweep could not have produced.  A subset
-sweep hands its value each subset's in-degree, root count and reach,
-which ``subset_sweep`` takes from the subset one size smaller; a witness
-recomputes them directly.  A subpartition value reads entering from one
-table by part (``part_entering``) and its union's terms once per union.
+value states a ceiling its right side never exceeds (``SubsetValue``), and
+``subset_sweep`` hands it only the subsets entered by fewer dyperedges,
+with their in-degree, root count and reach computed directly, as a
+witness's are.  A subpartition value reads entering from one table by
+part (``part_entering``) and its union's terms once per union.
 """
 from __future__ import annotations
 
@@ -55,7 +56,6 @@ from .structures import (
     mask_vertices,
     part_entering,
     reach_to_mask,
-    reach_to_singles,
     scc_condense,
     subpartition_masks,
     subset_masks,
@@ -145,23 +145,39 @@ def _read_vertex(inst: Instance, v) -> int:
     return v
 
 
+class SubsetValue(NamedTuple):
+    """A subset inequality: the (lhs, rhs) closure on X, its in-degree, root
+    count and reach, and a ceiling no rhs exceeds, so a subset entered by at
+    least ceiling dyperedges holds."""
+
+    ceiling: int
+    value: Callable[[int, int, int, int], tuple[int, int]]
+
+    def __call__(self, *terms) -> tuple[int, int]:
+        return self.value(*terms)
+
+
 def _subset_quantifier(pool, include_empty: bool, what: str = "a vertex",
                        reach: bool = False) -> Quantifier:
     """Quantifier over the subsets X of pool(inst), a sorted vertex list, as
-    masks; nonempty ones only unless include_empty.  The value closure reads
-    X, its in-degree, its root count and, if reach is set, the mask of the
-    vertices reaching it (0 if not), which subset_sweep carries along; a
-    witness recomputes the three."""
+    masks; nonempty ones only unless include_empty.  The value is a
+    SubsetValue; its closure reads X, its in-degree, its root count and, if
+    reach is set, the mask of the vertices reaching it (0 if not).
+    subset_sweep hands it only the subsets entered by fewer than its
+    ceiling dyperedges, and the terms are computed on those alone."""
+
+    def terms(inst, x) -> tuple:
+        f = inst.graph
+        return (x, in_degree_mask(f, x), mask_sum(inst.roots.counts, x),
+                reach_to_mask(f, x) if reach else 0)
 
     def sweep(inst, budget, value, note) -> Verdict:
-        f = inst.graph
-        spread = reach_to_singles(f) if reach else None
-        for x, d, size, reach_x in subset_sweep(f, [1 << v for v in pool(inst)], include_empty,
-                                                budget, inst.roots.counts, spread):
-            lhs, rhs = value(x, d, size, reach_x)
-            if lhs < rhs:
-                return Verdict(False, Witness("subset", (mask_vertices(x),), lhs, rhs, note))
-        return HOLDS
+        failed = subset_sweep(inst.graph, [1 << v for v in pool(inst)], include_empty, budget,
+                              value.ceiling, lambda x: value(*terms(inst, x)))
+        if failed is None:
+            return HOLDS
+        x, lhs, rhs = failed
+        return Verdict(False, Witness("subset", (mask_vertices(x),), lhs, rhs, note))
 
     def args(inst, payload) -> tuple:
         if len(payload) != 1:
@@ -169,9 +185,7 @@ def _subset_quantifier(pool, include_empty: bool, what: str = "a vertex",
         x = _read_mask(inst, payload[0], vertex_mask(pool(inst)), what)
         if not (x or include_empty):
             raise ValueError("witness subset must be nonempty")
-        f = inst.graph
-        return (x, in_degree_mask(f, x), mask_sum(inst.roots.counts, x),
-                reach_to_mask(f, x) if reach else 0)
+        return terms(inst, x)
 
     return Quantifier("subset", sweep, args)
 
@@ -207,12 +221,19 @@ def quiet_extensions(f: MixedHypergraph, outside: list[int]) -> list[int]:
     return [extra for extra in subset_masks(outside) if entering_mask(f, (extra,)) == 0]
 
 
-def component_masks(f: MixedHypergraph, c: frozenset[int]) -> tuple[int, list[int], list[int]]:
-    """The closure mask of component c, then the bits of c and of the
-    closure minus c, each increasing."""
-    inside = vertex_mask(c)
-    closure = reach_to_mask(f, inside)
-    return closure, [1 << v for v in sorted(c)], [1 << v for v in mask_bits(closure & ~inside)]
+def component_masks(f: MixedHypergraph, c: frozenset[int]
+                    ) -> tuple[int, tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """The closure mask of component c, the bits of c and of the closure
+    minus c, each increasing, and c's quiet extensions; built once per
+    component and memoized on f."""
+    memo = f._cache.setdefault("components", {})
+    if c not in memo:
+        inside = vertex_mask(c)
+        closure = reach_to_mask(f, inside)
+        outside = [1 << v for v in mask_bits(closure & ~inside)]
+        memo[c] = (closure, tuple(1 << v for v in sorted(c)), tuple(outside),
+                   tuple(quiet_extensions(f, outside)))
+    return memo[c]
 
 
 def _iter_component_families(
@@ -223,8 +244,7 @@ def _iter_component_families(
     traces and whose parts outside C have nothing entering them: each
     member is its trace plus one of C's quiet extensions."""
     for c in scc_condense(f):
-        p, inside, outside = component_masks(f, c)
-        quiet = quiet_extensions(f, outside)
+        p, inside, outside, quiet = component_masks(f, c)
         budget.spend(((1 << len(inside)) - 1) << len(outside))
         cands = {trace: [trace | extra for extra in quiet]
                  for trace in subset_masks(inside, include_empty=False)}
@@ -318,14 +338,14 @@ class Condition(NamedTuple):
 
 
 # Subset and subpartition values read vertex masks.  A subset value reads
-# X's in-degree d, root count and reach as the sweep carries them.  The
-# parts of a subpartition are disjoint: their sum is their union, and the
-# values read entering from a table by part and their union terms once per
-# union.
+# X's in-degree d, root count and reach, and states the ceiling of its right
+# side next to its inequality.  The parts of a subpartition are disjoint:
+# their sum is their union, and the values read entering from a table by
+# part and their union terms once per union.
 
 def _edmonds(inst):
     total = inst.roots.size()
-    return lambda x, d, size, reach: (d, total - size)
+    return SubsetValue(total, lambda x, d, size, reach: (d, total - size))
 
 
 def _frank_mixed(inst):
@@ -342,12 +362,13 @@ def _kkt(inst):
 def _dgns(inst):
     rank = inst.roots.ranker(inst.matroid)
     full = rank((1 << inst.graph.n) - 1)
-    return lambda x, d, size, reach: (d, full - rank(x))
+    return SubsetValue(full, lambda x, d, size, reach: (d, full - rank(x)))
 
 
 def _kiraly(inst):
     rank = inst.roots.ranker(inst.matroid)
-    return lambda x, d, size, reach: (d, rank(reach) - rank(x))
+    return SubsetValue(rank((1 << inst.graph.n) - 1),
+                       lambda x, d, size, reach: (d, rank(reach) - rank(x)))
 
 
 def _family(f, member):
@@ -389,12 +410,12 @@ def _bounded(slack, cap):
 
 def _fkk(inst):
     k = inst.roots.size()
-    return lambda x, d, size, reach: (d, k)
+    return SubsetValue(k, lambda x, d, size, reach: (d, k))
 
 
 def _cor1(inst):
     k = inst.bounds.k
-    return lambda x, d, size, reach: (d, k - size)
+    return SubsetValue(k, lambda x, d, size, reach: (d, k - size))
 
 
 def _lemma1b(inst):

@@ -10,7 +10,10 @@ first and return the violating certificate instead of searching when it
 fails; both verify h's declared supermodularity eagerly on small vertex
 sets and trust the declaration above that.
 Inside, vertex sets are bit masks and h is read by mask (``h.at``);
-witnesses and the lifted table of ``compute_h2`` carry frozensets.
+witnesses and the lifted table of ``compute_h2`` carry frozensets.  The
+cover checks run ``subset_sweep`` on the oriented graph with the largest
+demand over the subsets the budget reaches as its ceiling, so only the
+subsets entered by fewer elements are checked.
 """
 from __future__ import annotations
 
@@ -18,8 +21,7 @@ import itertools
 from collections.abc import Callable
 from dataclasses import dataclass
 
-from .conditions import (ConditionId, Instance, component_masks, evaluate, quiet_extensions,
-                         require_inputs)
+from .conditions import ConditionId, Instance, component_masks, evaluate, require_inputs
 from .setfuncs import SetFunctionOracle, check_intersecting_supermodular
 from .structures import (
     HOLDS,
@@ -34,7 +36,7 @@ from .structures import (
     low_bits,
     mask_vertices,
     orient_all,
-    reach_to_singles,
+    reach_to_mask,
     scc_condense,
     subset_masks,
     subset_sweep,
@@ -73,32 +75,34 @@ def orientation_space(f: MixedHypergraph):
 
 
 def _cover(f: MixedHypergraph, o: Orientation, cap: int | Budget | None, include_empty: bool,
-           demand: Callable[[int, int], int], note: str, spread: tuple[int, ...] | None = None
-           ) -> Verdict:
+           demand: Callable[[int], int], note: str) -> Verdict:
     """Does the orientation give every vertex mask x (nonempty ones only
-    unless include_empty) at least demand(x, the union of spread over x)
-    entering elements?"""
-    for x, lhs, _, reach in subset_sweep(orient_all(f, o.heads), low_bits(f.n), include_empty,
-                                         as_budget(cap), spread=spread):
-        rhs = demand(x, reach)
-        if lhs < rhs:
-            return Verdict(False, Witness("subset", (mask_vertices(x),), lhs, rhs, note))
-    return HOLDS
+    unless include_empty) at least demand(x) entering elements?  The
+    ceiling of the sweep is the largest demand over the masks the budget
+    reaches, read in sweep order; a mask past the budget is never reported."""
+    budget, g, bits = as_budget(cap), orient_all(f, o.heads), low_bits(f.n)
+    reached = itertools.islice(subset_masks(bits, include_empty), max(budget.remaining, 0))
+    failed = subset_sweep(g, bits, include_empty, budget, max(map(demand, reached), default=0),
+                          lambda x: (in_degree_mask(g, x), demand(x)))
+    if failed is None:
+        return HOLDS
+    x, lhs, rhs = failed
+    return Verdict(False, Witness("subset", (mask_vertices(x),), lhs, rhs, note))
 
 
 def check_cover(g: MixedHypergraph, h: SetFunctionOracle, o: Orientation,
                 cap: int | Budget | None = None) -> Verdict:
     """Does the orientation give every nonempty vertex set at least h(X)
     entering heads?"""
-    return _cover(g, o, cap, False, lambda x, reach: h.at(x), "oriented in-degree below demand")
+    return _cover(g, o, cap, False, h.at, "oriented in-degree below demand")
 
 
 def check_mixed_cover(f: MixedHypergraph, h: SetFunctionOracle, o: Orientation,
                       cap: int | Budget | None = None) -> Verdict:
     """Does the orientation give every vertex set at least h(X) - h(P^X)
     entering elements, dyperedges included?"""
-    return _cover(f, o, cap, True, lambda x, reach: h.at(x) - h.at(reach),
-                  "oriented in-degree below relative demand", reach_to_singles(f))
+    return _cover(f, o, cap, True, lambda x: h.at(x) - h.at(reach_to_mask(f, x)),
+                  "oriented in-degree below relative demand")
 
 
 def _require_intersecting_supermodular(h: SetFunctionOracle, budget: Budget) -> None:
@@ -172,8 +176,8 @@ def compute_h2(f: MixedHypergraph, h: SetFunctionOracle, c: frozenset[int],
     exists; the first maximizer in canonical order is recorded.
     """
     budget = as_budget(cap)
-    p, inside, outside = component_masks(f, c)
-    quiet, steps = quiet_extensions(f, outside), 1 << len(outside)
+    p, inside, outside, quiet = component_masks(f, c)
+    steps = 1 << len(outside)
     table: dict[frozenset[int], tuple[int, frozenset[int]]] = {}
     for x in subset_masks(inside, False, budget):
         budget.spend(steps)
@@ -203,6 +207,8 @@ def mixed_orient(f: MixedHypergraph, h: SetFunctionOracle,
     if not condition:
         return condition
 
+    # scc_condense keeps every hyperedge inside one component, so the loop
+    # sets every head
     heads: list[int | None] = [None] * len(f.hyperedges)
     for c in reversed(scc_condense(f)):
         w = compute_h2(f, h, c, budget)
@@ -225,8 +231,6 @@ def mixed_orient(f: MixedHypergraph, h: SetFunctionOracle,
         for local_idx, local_head in enumerate(sub.heads):
             heads[hmap[local_idx]] = order[local_head]
 
-    if any(x is None for x in heads):
-        raise PropertyViolationError("a hyperedge crosses component boundaries")
     result = Orientation(tuple(heads))
     if f.n <= _VERIFY_SWEEP_LIMIT:
         verdict = check_mixed_cover(f, h, result, budget)

@@ -9,12 +9,13 @@ between any two of its vertices, a dyperedge only from a tail to its head.
 Everything here is immutable and pure.  Inside the core a vertex set is a
 bit mask (bit v for vertex v): each structure builds its element masks
 once, and the entering rule, reachability and the subset and subpartition
-enumerations work on masks.  ``subset_sweep`` walks the subsets with their
-in-degree, weight and reach, each taken inline from the subset one size
-smaller, and ``part_entering`` reads the entering count of disjoint parts
-from one table by part mask.  Frozensets stay at the boundary:
-``Instance`` fields, witness payloads and the frozenset wrappers
-``in_degree``, ``entering_count``, ``reach_from``, ``reach_to``,
+enumerations work on masks.  ``subset_sweep`` counts the in-degree of every
+subset of a pool at once, in big-int bitmaps of at most 2**16 subsets, and
+evaluates an inequality only on the subsets entered by fewer dyperedges
+than the ceiling of its right side; ``part_entering`` reads the entering
+count of disjoint parts from one table by part mask.  Frozensets stay at
+the boundary: ``Instance`` fields, witness payloads and the frozenset
+wrappers ``in_degree``, ``entering_count``, ``reach_from``, ``reach_to``,
 ``subsets`` and ``subpartitions``.
 Derived data (reachability, strongly connected components) is memoized on
 the instance; set functions and matroids keep their own tables by mask.
@@ -22,9 +23,9 @@ the instance; set functions and matroids keep their own tables by mask.
 """
 from __future__ import annotations
 
-import collections
 import functools
 import itertools
+import math
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
@@ -403,71 +404,165 @@ def entering_count(f: MixedHypergraph, parts: Iterable[Iterable[int]]) -> int:
 
 
 # ---------------------------------------------------------------------------
-# terms folded along a subset sweep
+# the subset sweep: every subset's in-degree at once
 
-def _incidence(f: MixedHypergraph) -> tuple[tuple[tuple[int, ...], ...],
-                                            tuple[tuple[tuple[int, int], ...], ...]]:
-    """Per vertex v, the tail masks of the dyperedges into v, and the (tail
-    mask, head bit) pairs of the dyperedges with v among their tails;
-    memoized."""
-    cached = f._cache.get("incidence")
-    if cached is not None:
-        return cached
-    into: list[list[int]] = [[] for _ in range(f.n)]
-    leaving: list[list[tuple[int, int]]] = [[] for _ in range(f.n)]
-    for tails, head in f.dyperedge_masks:
-        into[head.bit_length() - 1].append(tails)
-        for y in mask_bits(tails):
-            leaving[y].append((tails, head))
-    result = (tuple(map(tuple, into)), tuple(map(tuple, leaving)))
-    f._cache["incidence"] = result
-    return result
+SWEEP_BLOCK = 16  # pool vertices a bitmap of subset_sweep spans: 2**16 masks
+
+
+@functools.cache
+def _holding(width: int) -> tuple[int, ...]:
+    """Per position i < width, the bitmap over the masks 0..2**width - 1 (bit
+    j for the mask j) of those holding bit i."""
+    full = (1 << (1 << width)) - 1
+    return tuple(full // ((1 << (2 << i)) - 1) * (((1 << (1 << i)) - 1) << (1 << i))
+                 for i in range(width))
+
+
+def _fewer_than(entries: Iterable[int], ceiling: int, full: int) -> int:
+    """The bitmap of the masks in full held by fewer than ceiling (at least
+    1) of the entry bitmaps.  Each entry is added into binary counter planes
+    with a ripple carry, a count past the top plane saturates, and the
+    planes are compared with ceiling bit-sliced, top bit first."""
+    planes = [0] * ceiling.bit_length()
+    over = 0
+    for carry in entries:
+        for i, plane in enumerate(planes):
+            planes[i], carry = plane ^ carry, plane & carry
+            if not carry:
+                break
+        else:
+            over |= carry
+    below, equal = 0, full & ~over
+    for i in reversed(range(len(planes))):
+        if ceiling >> i & 1:
+            below |= equal & ~planes[i]
+            equal &= planes[i]
+        else:
+            equal &= ~planes[i]
+    return below
+
+
+@functools.lru_cache(maxsize=16)
+def _at_most(width: int, size: int) -> int:
+    """The bitmap over the masks 0..2**width - 1 of those with at most size
+    bits."""
+    return _fewer_than(_holding(width), size + 1, (1 << (1 << width)) - 1)
+
+
+def _set_bits(bitmap: int) -> list[int]:
+    """Indices of the bits set in bitmap, increasing, read off its binary
+    digits: one pass over a wide bitmap, where mask_bits does big-int work
+    per set bit."""
+    digits = format(bitmap, "b")[::-1]
+    out = []
+    j = digits.find("1")
+    while j >= 0:
+        out.append(j)
+        j = digits.find("1", j + 1)
+    return out
+
+
+def _lex_rank(positions: Sequence[int], p: int) -> int:
+    """Index of the increasing positions among the combinations of range(p)
+    of their size, in lexicographic order."""
+    rank, low, r = 0, 0, len(positions)
+    for i, c in enumerate(positions):
+        for j in range(low, c):
+            rank += math.comb(p - 1 - j, r - 1 - i)
+        low = c + 1
+    return rank
 
 
 def subset_sweep(f: MixedHypergraph, bits: Sequence[int], include_empty: bool, budget: Budget,
-                 weights: Sequence[int] | None = None, spread: Sequence[int] | None = None
-                 ) -> Iterator[tuple[int, int, int, int]]:
-    """The masks of subset_masks(bits, include_empty, budget), in its order
-    and with its steps, each X as (X, in_degree_mask(f, X), mask_sum(weights,
-    X), mask_union(spread, X)); weights and spread default to zeros.
+                 ceiling: int, value: Callable[[int], tuple[int, int]]
+                 ) -> tuple[int, int, int] | None:
+    """The first mask X of subset_masks(bits, include_empty) with value(X) =
+    (lhs, rhs) and lhs < rhs, as (X, lhs, rhs), or None; budget pays the
+    steps subset_masks would take up to X, or over the whole sweep when no
+    mask fails, and runs out where it would.
 
-    The walk is breadth first, so it goes one size level at a time.  A
-    queue holds (X, the index past X's top bit, X's terms) in sweep order;
-    X's children X | bits[j], j from that index on, are visited when X
-    leaves the queue and join it in the same order.  A child's terms are
-    X's with its new vertex v added inline: in-degree gains the dyperedges
-    into v with a tail outside the child and loses those out of v with
-    their head and every tail in it, the weight adds weights[v] and the
-    spread ORs in spread[v].  Only entries that have children are queued,
-    and the queue spans two size levels at most.
+    value's lhs must be in_degree_mask(f, X) and its rhs at most ceiling, so
+    only the masks with in(X) < ceiling can fail, and value runs on those
+    candidates alone.  The 2**p masks of the p pool vertices are indexed by
+    their compressed mask (bit j for bits[j]), and each pool vertex has the
+    bitmap of the masks holding it; a dyperedge (T, h) enters exactly the
+    masks holding h and not all of T (a tail outside the pool is held by
+    none).  These entry bitmaps go into counter planes (_fewer_than), so
+    every in-degree is counted at once.  The candidates are evaluated by
+    size, then lexicographically in pool order, which is the sweep order;
+    the first failure's sweep position is its rank among the masks of its
+    size plus the masks of smaller sizes.
+
+    No bitmap spans more than 2**SWEEP_BLOCK masks: a larger pool is swept
+    in blocks, the first SWEEP_BLOCK pool vertices free and the others
+    fixed to one subset per block, visited by increasing size.  The walk
+    stops once every mask left lies past the budget or is larger than the
+    failure found.
     """
-    into, leaving = _incidence(f)
-    weights, spread = weights or (0,) * f.n, spread or (0,) * f.n
-    steps = [(bit, into[v], leaving[v], weights[v], spread[v], j + 1)
-             for j, bit in enumerate(bits) for v in (bit.bit_length() - 1,)]
-    last = len(steps)
-    spend = budget.spend
-    if include_empty:
-        spend()
-        yield 0, 0, 0, 0
-    queue = collections.deque([(0, 0, 0, 0, 0)])
-    while queue:
-        parent, start, degree, weight, reach = queue.popleft()
-        for bit, tails_in, tails_out, vweight, vreach, after in steps[start:]:
-            x = parent | bit
-            out = ~x
-            d = degree
-            for tails in tails_in:
-                if tails & out:
-                    d += 1
-            for tails, head in tails_out:
-                if head & x and not tails & out:
-                    d -= 1
-            w, r = weight + vweight, reach | vreach
-            spend()
-            yield x, d, w, r
-            if after < last:
-                queue.append((x, after, d, w, r))
+    p = len(bits)
+    width = min(p, SWEEP_BLOCK)
+    inner, outer = bits[:width], bits[width:]
+    full = (1 << (1 << width)) - 1
+    pool = sum(bits)
+    edges = [(head, [1 << t for t in mask_bits(tails)])
+             for tails, head in f.dyperedge_masks if head & pool]
+    before = list(itertools.accumulate((math.comb(p, r) for r in range(p + 1)), initial=0))
+    skipped = 0 if include_empty else 1
+
+    def ahead(size: int) -> int:
+        """The number of masks the sweep visits before the first of size."""
+        return before[size] - skipped if size else 0
+
+    def first_failure(chosen: tuple[int, ...], top: int):
+        """(size, positions, X, lhs, rhs) of the block's first failing mask
+        of at most top inner vertices, or None."""
+        fixed = sum(outer[i] for i in chosen)
+        of = dict(zip(inner, _holding(width)))
+        of.update((outer[i], full) for i in chosen)
+        entries = []
+        for head, tails in edges:
+            entry = of.get(head, 0)
+            if entry:
+                inside = full
+                for t in tails:
+                    inside &= of.get(t, 0)
+                    if not inside:
+                        break
+                entries.append(entry & ~inside)
+        short = _fewer_than(entries, ceiling, full)
+        if not (include_empty or fixed):
+            short &= ~1
+        if top < width:
+            short &= _at_most(width, top)
+        levels: dict[int, list[int]] = {}
+        for j in _set_bits(short):
+            levels.setdefault(j.bit_count(), []).append(j)
+        for size in sorted(levels):
+            for positions, j in sorted((mask_bits(j), j) for j in levels[size]):
+                x = mask_union(inner, j) | fixed
+                lhs, rhs = value(x)
+                if lhs < rhs:
+                    return (size + len(chosen), positions + [width + i for i in chosen],
+                            x, lhs, rhs)
+        return None
+
+    within = max((size for size in range(p + 1) if ahead(size) < budget.remaining), default=-1)
+    best = None
+    blocks = (chosen for r in range(len(outer) + 1)
+              for chosen in itertools.combinations(range(len(outer)), r))
+    for chosen in blocks if ceiling > 0 else ():
+        top = min(within, best[0] if best else p) - len(chosen)
+        if top < 0:
+            break
+        found = first_failure(chosen, top)
+        if found and (best is None or found[:2] < best[:2]):
+            best = found
+    if best is None:
+        budget.spend(before[p + 1] - skipped)
+        return None
+    size, positions, x, lhs, rhs = best
+    budget.spend(ahead(size) + _lex_rank(positions, p) + 1)
+    return x, lhs, rhs
 
 
 # ---------------------------------------------------------------------------
@@ -717,26 +812,37 @@ def partition_masks(bits: Sequence[int], budget: Budget | None = None
     """All partitions of the items with the given bits into nonempty
     blocks, as tuples of block masks, in restricted growth string order:
     item i joins each open block in turn, then opens a new one.  Blocks
-    are ordered by first appearance; one budget step per partition."""
+    are ordered by first appearance; one budget step per partition.
+
+    The walk is iterative: the next partition moves the last item that can
+    move on to its next block (a new one if it ends the open ones) and puts
+    every later item back into the first block."""
     n = len(bits)
-    blocks: list[int] = []
-
-    def place(i: int) -> Iterator[tuple[int, ...]]:
-        if i == n:
-            if budget is not None:
-                budget.spend()
-            yield tuple(blocks)
+    where = [0] * n
+    blocks = [sum(bits)] if n else []
+    while True:
+        if budget is not None:
+            budget.spend()
+        yield tuple(blocks)
+        i = n - 1
+        while i > 0:
+            j = where[i]
+            blocks[j] ^= bits[i]
+            if not blocks[j]:
+                blocks.pop()
+            if j + 1 <= len(blocks):
+                break
+            i -= 1
+        if i <= 0:
             return
-        bit = bits[i]
-        for j in range(len(blocks)):
-            blocks[j] |= bit
-            yield from place(i + 1)
-            blocks[j] ^= bit
-        blocks.append(bit)
-        yield from place(i + 1)
-        blocks.pop()
-
-    return place(0)
+        where[i] = j = j + 1
+        if j == len(blocks):
+            blocks.append(bits[i])
+        else:
+            blocks[j] |= bits[i]
+        for t in range(i + 1, n):
+            where[t] = 0
+            blocks[0] |= bits[t]
 
 
 def subpartition_masks(bits: Sequence[int], budget: Budget | None = None

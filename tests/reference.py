@@ -1,7 +1,10 @@
 """Reference code only the tests read: the generic g-polymatroid toolkit,
 the component projection of a vertex set, the condition sweeps as they
-were before ``subset_sweep`` and ``part_entering``, and component peeling
-as it was before ``quiet_extensions`` and the sinks-first orientation loop.
+were before ``subset_sweep`` and ``part_entering``, the subset walk that
+folded every subset's terms from the subset one size smaller, the
+recursive partition walk, and
+component peeling as it was before ``quiet_extensions`` and the sinks-first
+orientation loop.
 
 A g-polymatroid Q(p, b) is the set of vectors x with p(Z) <= x(Z) <= b(Z)
 for every subset Z of the ground, where p is supermodular, b is submodular
@@ -12,6 +15,7 @@ and ``gpoly.check_axioms`` are cross-checked against.
 """
 from __future__ import annotations
 
+import collections
 import itertools
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
@@ -36,6 +40,7 @@ from arbopack.structures import (
     in_degree_mask,
     induced_subgraph,
     low_bits,
+    mask_bits,
     mask_sum,
     mask_vertices,
     reach_to,
@@ -303,6 +308,90 @@ def reference_evaluate(cond: ConditionId | str, inst, cap: int | Budget | None =
 
 
 # ---------------------------------------------------------------------------
+# the subset walk before the bit-parallel sweep: every mask in order, its
+# terms folded from the subset one size smaller
+
+def _incidence(f: MixedHypergraph) -> tuple[tuple[tuple[int, ...], ...],
+                                            tuple[tuple[tuple[int, int], ...], ...]]:
+    """Per vertex v, the tail masks of the dyperedges into v, and the (tail
+    mask, head bit) pairs of the dyperedges with v among their tails."""
+    into: list[list[int]] = [[] for _ in range(f.n)]
+    leaving: list[list[tuple[int, int]]] = [[] for _ in range(f.n)]
+    for tails, head in f.dyperedge_masks:
+        into[head.bit_length() - 1].append(tails)
+        for y in mask_bits(tails):
+            leaving[y].append((tails, head))
+    return tuple(map(tuple, into)), tuple(map(tuple, leaving))
+
+
+def folded_subset_sweep(f: MixedHypergraph, bits, include_empty: bool, budget: Budget,
+                        weights=None, spread=None) -> Iterator[tuple[int, int, int, int]]:
+    """The masks of subset_masks(bits, include_empty, budget), in its order
+    and with its steps, each X as (X, in_degree_mask(f, X), mask_sum(weights,
+    X), mask_union(spread, X)); weights and spread default to zeros.
+
+    The walk is breadth first, so it goes one size level at a time.  A
+    queue holds (X, the index past X's top bit, X's terms) in sweep order;
+    X's children X | bits[j], j from that index on, are visited when X
+    leaves the queue and join it in the same order.  A child's terms are
+    X's with its new vertex v added inline: in-degree gains the dyperedges
+    into v with a tail outside the child and loses those out of v with
+    their head and every tail in it, the weight adds weights[v] and the
+    spread ORs in spread[v].
+    """
+    into, leaving = _incidence(f)
+    weights, spread = weights or (0,) * f.n, spread or (0,) * f.n
+    steps = [(bit, into[v], leaving[v], weights[v], spread[v], j + 1)
+             for j, bit in enumerate(bits) for v in (bit.bit_length() - 1,)]
+    last = len(steps)
+    if include_empty:
+        budget.spend()
+        yield 0, 0, 0, 0
+    queue = collections.deque([(0, 0, 0, 0, 0)])
+    while queue:
+        parent, start, degree, weight, reach = queue.popleft()
+        for bit, tails_in, tails_out, vweight, vreach, after in steps[start:]:
+            x = parent | bit
+            out = ~x
+            d = degree
+            for tails in tails_in:
+                if tails & out:
+                    d += 1
+            for tails, head in tails_out:
+                if head & x and not tails & out:
+                    d -= 1
+            w, r = weight + vweight, reach | vreach
+            budget.spend()
+            yield x, d, w, r
+            if after < last:
+                queue.append((x, after, d, w, r))
+
+
+def recursive_partition_masks(bits, budget: Budget | None = None) -> Iterator[tuple[int, ...]]:
+    """structures.partition_masks as the recursive walk it was: item i
+    joins each open block in turn, then opens a new one."""
+    n = len(bits)
+    blocks: list[int] = []
+
+    def place(i: int) -> Iterator[tuple[int, ...]]:
+        if i == n:
+            if budget is not None:
+                budget.spend()
+            yield tuple(blocks)
+            return
+        bit = bits[i]
+        for j in range(len(blocks)):
+            blocks[j] |= bit
+            yield from place(i + 1)
+            blocks[j] ^= bit
+        blocks.append(bit)
+        yield from place(i + 1)
+        blocks.pop()
+
+    return place(0)
+
+
+# ---------------------------------------------------------------------------
 # component peeling as it was before quiet_extensions and the sinks-first
 # loop: each trace tests the outside subsets through a shared memo, and
 # mixed_orient searches every round for a component nothing remaining enters
@@ -323,7 +412,7 @@ def closed_extensions(f: MixedHypergraph, outside: list[int], trace: int,
 def iter_component_families(f: MixedHypergraph, budget: Budget):
     """conditions._iter_component_families over closed_extensions."""
     for c in scc_condense(f):
-        p, inside, outside = component_masks(f, c)
+        p, inside, outside, _ = component_masks(f, c)
         closed: list[bool] = []
         cands = {trace: list(closed_extensions(f, outside, trace, budget, closed))
                  for trace in subset_masks(inside, include_empty=False)}
@@ -341,7 +430,7 @@ _FAMILIES = _family_sweep(iter_component_families)
 def compute_h2(f: MixedHypergraph, h, c: frozenset[int], cap: int | Budget | None = None):
     """orientation.compute_h2 over closed_extensions."""
     budget = as_budget(cap)
-    p, inside, outside = component_masks(f, c)
+    p, inside, outside, _ = component_masks(f, c)
     table = {}
     closed: list[bool] = []
     for x in subset_masks(inside, False, budget):

@@ -13,16 +13,20 @@ from arbopack import (
     FreeMatroid,
     Instance,
     MixedHypergraph,
+    Orientation,
     RootMultiset,
     SetFunctionOracle,
     UniformMatroid,
     Witness,
+    check_mixed_cover,
     evaluate,
     in_degree,
+    orient_all,
     reach_to,
     subsets,
     witness_violates,
 )
+from arbopack import conditions, orientation
 from arbopack.conditions import CONDITIONS
 from arbopack.fuzz import (
     _random_arcs,
@@ -33,7 +37,8 @@ from arbopack.fuzz import (
     _random_supermodular,
 )
 
-from conftest import mh
+from conftest import (all_digraphs, all_mixed_hypergraphs, all_root_multisets, mh,
+                      small_matroid_family)
 from reference import SUBPARTITION_CHECKS, SUBSET_CHECKS, reference_evaluate, scc_projection
 
 
@@ -666,6 +671,103 @@ class TestSweepsMatchPreviousClosures:
         got = [_outcome(evaluate, cond, inst, cap) for cap in self.CAPS]
         assert got == [_outcome(reference_evaluate, cond, inst, cap) for cap in self.CAPS]
         assert got[0] == ("cap", -1)
+
+
+SUBSET_CONDS = [cond for cond, rec in CONDITIONS.items()
+                if any(check.over.kind == "subset" for check in rec.checks)]
+
+
+def _subset_check(cond):
+    return next(check for check in CONDITIONS[cond].checks if check.over.kind == "subset")
+
+
+def _subset_instances(cond, n_max, rng=None):
+    """Instances a subset condition accepts: every digraph or dypergraph on
+    at most n_max vertices with few elements, with every small root
+    multiset (roots on one vertex for fkk), each small matroid for dgns
+    and kiraly, and k from 0 to 3 for cor1."""
+    if CONDITIONS[cond].graph == "digraph":
+        graphs = list(all_digraphs(n_max, 3 if cond in (ConditionId.EDMONDS, ConditionId.KKT)
+                                   else 2))
+    else:
+        graphs = [MixedHypergraph(f.n, (), f.dyperedges) for f in all_mixed_hypergraphs(n_max, 2)
+                  if not f.hyperedges]
+    for graph in graphs:
+        for roots in all_root_multisets(graph.n, 2):
+            if cond is ConditionId.FKK and len(roots.support()) != 1:
+                continue
+            matroids = (small_matroid_family(roots) if "matroid" in CONDITIONS[cond].needs
+                        else [None])
+            for matroid in matroids:
+                for k in range(4) if cond is ConditionId.COR1 else [None]:
+                    yield Instance(graph=graph, roots=roots, matroid=matroid, bounds=Bounds(k=k))
+
+
+class TestSubsetCandidates:
+    """A subset value states a ceiling no right side exceeds, and the sweep
+    computes the terms only on the subsets entered by fewer dyperedges."""
+
+    def test_six_subset_conditions(self):
+        assert [c.value for c in SUBSET_CONDS] == ["edmonds", "kkt", "dgns", "kiraly", "fkk",
+                                                    "cor1"]
+
+    @pytest.mark.parametrize("cond", SUBSET_CONDS, ids=lambda c: c.value)
+    def test_ceiling_bounds_right_side(self, cond):
+        check, checked = _subset_check(cond), 0
+        for inst in _subset_instances(cond, 3):
+            value = check.value(inst)
+            for x in subsets(range(inst.graph.n)):
+                try:
+                    terms = check.over.args(inst, (x,))
+                except ValueError:
+                    continue  # outside the pool, or the empty set
+                assert value(*terms)[1] <= value.ceiling, (inst, x)
+                checked += 1
+        assert checked > 500
+
+    def test_terms_computed_for_candidates_only(self, monkeypatch):
+        """Direct in_degree_mask, mask_sum and reach_to_mask calls in a
+        condition sweep never exceed its candidates, nor the oriented
+        in-degrees of a cover check."""
+        rng = random.Random("candidates")
+        cases = []
+        for _ in range(30):
+            n = rng.randint(1, 7)
+            arcs = _random_arcs(rng, n)
+            counts = tuple(rng.randint(0, 2) for _ in range(n))
+            for cond in SUBSET_CONDS:
+                roots = RootMultiset(counts if cond is not ConditionId.FKK
+                                     else (counts[0] + 1,) + (0,) * (n - 1))
+                inst = Instance(graph=MixedHypergraph(n, (), arcs), roots=roots,
+                                matroid=FreeMatroid(roots.copies()), bounds=Bounds(k=2))
+                ceiling = _subset_check(cond).value(inst).ceiling
+                cases.append((cond, inst, sum(in_degree(inst.graph, x) < ceiling
+                                              for x in subsets(range(n)))))
+            edges = tuple(frozenset(rng.sample(range(n), 2)) for _ in range(3)) if n > 1 else ()
+            f = MixedHypergraph(n, edges, arcs)
+            o = Orientation(tuple(min(e) for e in edges))
+            roots = RootMultiset(counts)
+            h = SetFunctionOracle.from_matroid_roots(n, roots, FreeMatroid(roots.copies()))
+            g = orient_all(f, o.heads)
+            ceiling = max(h(x) - h(reach_to(f, x)) for x in subsets(range(n)))
+            cases.append((f, h, o, sum(in_degree(g, x) < ceiling for x in subsets(range(n)))))
+        calls: dict[str, int] = {}
+        for module, names in ((conditions, ("in_degree_mask", "mask_sum", "reach_to_mask")),
+                              (orientation, ("in_degree_mask",))):
+            for name in names:
+                direct = getattr(module, name)
+                monkeypatch.setattr(module, name, lambda *args, name=name, direct=direct: (
+                    calls.__setitem__(name, calls.get(name, 0) + 1) or direct(*args)))
+        made = 0
+        for case in cases:
+            calls.clear()
+            if len(case) == 3:
+                evaluate(case[0], case[1])
+            else:
+                check_mixed_cover(*case[:3])
+            assert all(count <= case[-1] for count in calls.values()), (case, calls)
+            made += sum(calls.values())
+        assert made > 100
 
 
 class TestInputValidation:

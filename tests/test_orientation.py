@@ -28,7 +28,7 @@ from arbopack import (
     Verdict,
     Witness,
 )
-from arbopack import conditions
+from arbopack import conditions, orientation
 from arbopack.structures import (DEFAULT_CAP, CapExceededError, entering_mask, scc_condense,
                                  vertex_mask)
 from arbopack.fuzz import (_random_arcs, _random_matroid, _random_mixed_hypergraph, _random_roots,
@@ -248,6 +248,35 @@ class TestMixedOrient:
                 assert evaluate(ConditionId.NEW_ORIENT, inst).holds is False
                 seen_infeasible += 1
         assert seen_feasible > 10 and seen_infeasible > 10
+
+    def test_every_head_set_on_criterion_4_grid(self):
+        # scc_condense keeps every hyperedge inside one component, so the
+        # sinks-first loop sets every head
+        oriented = 0
+        for f in all_mixed_graphs(3, 4):
+            for h in _root_demand_oracles(f.n):
+                got = mixed_orient(f, h)
+                if isinstance(got, Orientation):
+                    assert len(got.heads) == len(f.hyperedges)
+                    assert all(head in e for head, e in zip(got.heads, f.hyperedges))
+                    oriented += 1
+        assert oriented > 100
+
+    def test_component_terms_built_once(self, monkeypatch):
+        """A 3-cycle with an edge, fed by a 3-vertex path: 4 components, and
+        one quiet_extensions call each, though both the family sweep and
+        compute_h2 read them."""
+        f = mh(6, [{3, 4}], [({0}, 1), ({1}, 2), ({2}, 3), ({3}, 4), ({4}, 5), ({5}, 3)])
+        s = RootMultiset((1, 0, 0, 0, 0, 0))
+        h = SetFunctionOracle.from_matroid_roots(6, s, FreeMatroid(s.copies()))
+        calls = []
+        quiet = conditions.quiet_extensions
+        for module in (conditions, orientation):
+            monkeypatch.setattr(module, "quiet_extensions",
+                                lambda *args: calls.append(args) or quiet(*args), raising=False)
+        assert len(scc_condense(f)) == 4
+        assert isinstance(mixed_orient(f, h), Orientation)
+        assert len(calls) == 4
 
     def test_matroid_rank_plateau(self):
         # after orienting, every vertex keeps the rank of its closure

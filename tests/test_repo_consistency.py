@@ -11,7 +11,7 @@ import shlex
 import textwrap
 from pathlib import Path
 
-from arbopack import SetFunctionOracle, TPolyhedron, cli, orientation
+from arbopack import SetFunctionOracle, TPolyhedron, cli
 from arbopack.conditions import CONDITIONS
 from arbopack.fuzz import SUITES
 from arbopack.packing import ROUTES, SPECIES
@@ -143,24 +143,9 @@ def _calls(fn) -> list[str]:
             and isinstance(node.func, (ast.Name, ast.Attribute))]
 
 
-def test_subset_sweeps_fold_their_terms():
-    """The subset quantifier and the orientation cover sweep walk
-    structures.subset_sweep, which carries each subset's in-degree, root
-    count and reach; neither they nor the subset value closures compute a
-    term per subset, and the subpartition values on disjoint parts read
-    entering from structures.part_entering's table, not entering_mask."""
-    subset_checks = [check for rec in CONDITIONS.values() for check in rec.checks
-                     if check.over.kind == "subset"]
-    subset_values = {check.value for check in subset_checks}
-    assert len(subset_values) == 6
-    direct = {"in_degree_mask", "reach_to_mask", "mask_sum", "subset_masks"}
-    sweeps = [subset_checks[0].over.sweep, orientation._cover]
-    assert {check.over.sweep.__code__ for check in subset_checks} == {sweeps[0].__code__}
-    callers = [orientation.check_cover, orientation.check_mixed_cover]
-    for fn in sorted(subset_values, key=lambda fn: fn.__name__) + sweeps + callers:
-        assert direct.isdisjoint(_calls(fn)), fn.__name__
-    for fn in sweeps:
-        assert "subset_sweep" in _calls(fn), fn.__name__
+def test_subpartition_values_read_part_entering():
+    """The subpartition values on disjoint parts read entering from
+    structures.part_entering's table, not entering_mask."""
     subpartition_values = {check.value for rec in CONDITIONS.values() for check in rec.checks
                            if check.over.kind == "subpartition"}
     assert len(subpartition_values) == 5  # frank_mixed, frank_orient and three _bounded

@@ -41,8 +41,8 @@ from arbopack.structures import (
     mask_sum,
     mask_vertices,
     part_entering,
+    partition_masks,
     reach_to_mask,
-    reach_to_singles,
     subpartition_masks,
     subset_masks,
     subset_sweep,
@@ -50,7 +50,7 @@ from arbopack.structures import (
 )
 
 from conftest import all_mixed_hypergraphs, arc, mh
-from reference import GPoly
+from reference import GPoly, folded_subset_sweep, recursive_partition_masks
 
 
 def small_graphs():
@@ -308,59 +308,105 @@ def _random_dypergraph(rng: random.Random) -> MixedHypergraph:
     return MixedHypergraph(n, (), tuple(dyps))
 
 
+def _first_failure(masks, value, budget):
+    """The first (X, lhs, rhs) of masks with lhs < rhs, or None, or "cap"
+    if the budget ran out first; with the steps left."""
+    try:
+        for x in masks:
+            lhs, rhs = value(x)
+            if lhs < rhs:
+                return (x, lhs, rhs), budget.remaining
+    except CapExceededError:
+        return "cap", budget.remaining
+    return None, budget.remaining
+
+
+def _sweep(f, bits, include_empty, cap, ceiling, value):
+    budget = Budget(cap)
+    try:
+        got = subset_sweep(f, bits, include_empty, budget, ceiling, value)
+    except CapExceededError:
+        return "cap", budget.remaining
+    return got, budget.remaining
+
+
+def _walked(f, bits, include_empty, cap, value):
+    """What the reference walk gives, every mask visited; value's lhs must
+    be the in-degree the walk carries."""
+    budget = Budget(cap)
+
+    def masks():
+        for x, d, _, _ in folded_subset_sweep(f, bits, include_empty, budget):
+            assert value(x)[0] == d
+            yield x
+
+    return _first_failure(masks(), value, budget)
+
+
 class TestSubsetSweep:
-    """subset_sweep walks the masks of subset_masks() over any pool, in its
-    order, with its Budget steps and where a cap stops it, and carries the
-    terms in_degree_mask, mask_sum and reach_to_mask give on every mask."""
+    """subset_sweep returns the first failing mask of subset_masks() over any
+    pool, with its Budget steps and where a cap stops it, as the reference
+    walk that visits every mask does, while it evaluates only the masks
+    entered by fewer than the ceiling."""
 
     @staticmethod
     def pools(n):
         return [[v for v in range(n) if keep >> v & 1] for keep in range(1, 1 << n)]
 
     @staticmethod
-    def walk(masks, budget):
-        """The masks visited before the walk ended or ran out of budget,
-        whether it ran out, and the steps left."""
-        seen = []
-        try:
-            for x in masks:
-                seen.append(x if isinstance(x, int) else x[0])
-        except CapExceededError:
-            return seen, True, budget.remaining
-        return seen, False, budget.remaining
+    def failing(masks, rng):
+        """Sets of failing masks: none, each mask alone (5 sampled past 64
+        masks) and 5 random sets of several."""
+        alone = masks if len(masks) < 64 else rng.sample(masks, 5)
+        return [set()] + [{x} for x in alone] + [
+            set(rng.sample(masks, rng.randint(1, len(masks)))) for _ in range(5)]
+
+    def outcomes_match(self, pools, include_empty, rng):
+        """On a graph nothing enters, so every mask is a candidate, each set
+        of failing masks gives the first failure and the steps left of
+        subset_masks() under every cap from 1 to one past the sweep's
+        length (12 sampled past 64 masks)."""
+        f = MixedHypergraph(9)
+        for pool in pools:
+            bits = [1 << v for v in pool]
+            masks = list(subset_masks(bits, include_empty))
+            total = len(masks)
+            caps = range(1, total + 2) if total < 64 else sorted(rng.sample(range(1, total + 2), 12))
+            for failing in self.failing(masks, rng) if masks else [set()]:
+                def value(x, failing=failing):
+                    return 0, int(x in failing)
+
+                for cap in [10**6, *caps]:
+                    budget = Budget(cap)
+                    want = _first_failure(subset_masks(bits, include_empty, budget), value, budget)
+                    assert _sweep(f, bits, include_empty, cap, 1, value) == want, (pool, cap)
 
     @pytest.mark.parametrize("include_empty", [True, False])
     def test_masks_order_and_steps_match_subset_masks(self, include_empty):
-        """Every pool of up to 5 vertices, and shuffled pools of up to 9:
-        the same masks in the same order, one step each, and under every
-        cap from 1 to one past the sweep's length the same last mask and
-        the same steps left, also where a cap runs out inside a level."""
+        """Every pool of up to 5 vertices, the empty pool and shuffled pools
+        of up to 9."""
         rng = random.Random(41)
         pools = [pool for n in range(6) for pool in self.pools(n)] + [[]]
         pools += [rng.sample(range(9), rng.randint(1, 9)) for _ in range(30)]
-        f = MixedHypergraph(9, (), tuple((frozenset({v}), (v + 1) % 9) for v in range(9)))
-        for pool in pools:
-            bits = [1 << v for v in pool]
-            total = 2 ** len(bits) - (not include_empty)
-            caps = range(1, total + 2) if total < 64 else sorted(rng.sample(range(1, total + 2), 12))
-            for cap in [10**6, *caps]:
-                budget = Budget(cap)
-                want = self.walk(subset_masks(bits, include_empty, budget), budget)
-                budget = Budget(cap)
-                got = self.walk(subset_sweep(f, bits, include_empty, budget), budget)
-                assert got == want, (pool, cap)
-                assert want[1] is (cap < total)
+        self.outcomes_match(pools, include_empty, rng)
 
     @staticmethod
     def agree(f, pool, include_empty, rng):
-        weights = [rng.randint(0, 3) for _ in range(f.n)]
+        """Edmonds-like and Kiraly-like values with random weights: the sweep
+        and the reference walk agree under a few caps."""
+        weights = [rng.randint(0, 2) for _ in range(f.n)]
         bits = [1 << v for v in pool]
-        want = [(x, in_degree_mask(f, x), mask_sum(weights, x), reach_to_mask(f, x))
-                for x in subset_masks(bits, include_empty)]
-        got = list(subset_sweep(f, bits, include_empty, Budget(), weights, reach_to_singles(f)))
-        assert got == want, (f, pool)
-        assert list(subset_sweep(f, bits, include_empty, Budget())) == [
-            (x, d, 0, 0) for x, d, _, _ in want]
+        ceiling = rng.randint(0, 4)
+        values = [
+            (ceiling, lambda x: (in_degree_mask(f, x), ceiling - mask_sum(weights, x))),
+            (sum(weights), lambda x: (in_degree_mask(f, x), mask_sum(weights, reach_to_mask(f, x))
+                                      - mask_sum(weights, x))),
+        ]
+        total = 2 ** len(pool) - (not include_empty)
+        for top, value in values:
+            for cap in (1, max(1, total // 3), total, total + 1):
+                assert _sweep(f, bits, include_empty, cap, top, value) == \
+                    _walked(f, bits, include_empty, cap, value), (f, pool, cap)
 
     @pytest.mark.parametrize("include_empty", [True, False])
     def test_every_small_mixed_hypergraph(self, include_empty):
@@ -378,42 +424,83 @@ class TestSubsetSweep:
             self.agree(f, pool, include_empty, rng)
             self.agree(f, list(range(f.n)), include_empty, rng)
 
-    def test_never_computes_a_term_directly(self, monkeypatch):
-        """Every term is taken from the parent entry: none of the direct
-        forms runs during a sweep."""
+    def test_evaluates_candidates_only(self, monkeypatch):
+        """value runs once on each mask it sees, only on masks entered by
+        fewer than the ceiling, and the walk computes no term itself."""
         rng = random.Random(29)
-        cases = []
-        for _ in range(50):
-            f = _random_dypergraph(rng)
-            pool = sorted(rng.sample(range(f.n), rng.randint(1, f.n)))
-            bits, include_empty = [1 << v for v in pool], rng.random() < 0.5
-            want = [(x, in_degree_mask(f, x), mask_sum(f.n * [1], x), reach_to_mask(f, x))
-                    for x in subset_masks(bits, include_empty)]
-            cases.append((f, bits, include_empty, reach_to_singles(f), want))
         calls = []
-        for name in ("in_degree_mask", "reach_to_mask", "mask_sum", "mask_union",
-                     "reach_to_singles"):
+        for name in ("in_degree_mask", "reach_to_mask", "mask_sum", "reach_to_singles"):
             direct = getattr(structures, name)
             monkeypatch.setattr(structures, name,
                                 lambda *args, direct=direct: calls.append(args) or direct(*args))
-        for f, bits, include_empty, spread, want in cases:
-            assert list(subset_sweep(f, bits, include_empty, Budget(), f.n * [1], spread)) == want
+        for _ in range(100):
+            f = _random_dypergraph(rng)
+            pool = sorted(rng.sample(range(f.n), rng.randint(1, f.n)))
+            bits, include_empty, ceiling = [1 << v for v in pool], rng.random() < 0.5, rng.randint(0, 4)
+            degree = {x: in_degree_mask(f, x) for x in subset_masks(bits, include_empty)}
+            seen = []
+            subset_sweep(f, bits, include_empty, Budget(), ceiling,
+                         lambda x: seen.append(x) or (degree[x], ceiling * (x % 3 == 2)))
+            assert len(seen) == len(set(seen))
+            assert all(degree[x] < ceiling for x in seen)
         assert calls == []
 
-    def test_keeps_two_levels_at_most(self):
-        # a table kept for every subset of 16 vertices would take over 5 MB;
-        # the queue, which spans sizes 7 and 8 at most, peaks near 1.1 MB
+    @pytest.mark.parametrize("include_empty", [True, False])
+    def test_blocks_of_three(self, include_empty, monkeypatch):
+        """Blocks three pool vertices wide: the outcomes of subset_masks() on
+        shuffled pools of up to 8 vertices with sets of failing masks, and
+        of the reference walk on seeded dypergraphs."""
+        monkeypatch.setattr(structures, "SWEEP_BLOCK", 3)
+        rng = random.Random(53)
+        self.outcomes_match([rng.sample(range(9), rng.randint(1, 8)) for _ in range(25)],
+                            include_empty, rng)
+        for _ in range(100):
+            f = _random_dypergraph(rng)
+            self.agree(f, rng.sample(range(f.n), rng.randint(1, f.n)), include_empty, rng)
+
+    def test_memory_bounded_by_block(self):
+        # the reference walk's queue of two size levels peaked near 1.1 MB
+        # at 16 vertices; the bitmaps here are 8 KB each
         n = 16
         f = MixedHypergraph(n, (), tuple((frozenset({(v + 1) % n}), v) for v in range(n)))
-        weights, spread = [1] * n, reach_to_singles(f)
+        structures._holding.cache_clear()
+        structures._at_most.cache_clear()
         tracemalloc.start()
         try:
-            for _ in subset_sweep(f, [1 << v for v in range(n)], True, Budget(), weights, spread):
-                pass
+            got = subset_sweep(f, [1 << v for v in range(n)], True, Budget(), 3,
+                               lambda x: (in_degree_mask(f, x), int(x.bit_count() == n // 2)))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2.5e6, peak
+        assert got is None
+        assert peak < 1e6, peak
+
+    def test_thirty_vertex_pool_under_a_cap(self):
+        """A 30-vertex pool under a cap of 1000: the reference walk's
+        witness where it finds one inside the cap, the cap error with -1
+        steps left where it runs out, and under 1 MB traced."""
+        n = 30
+        f = MixedHypergraph(n, (), tuple((frozenset({v}), v + 1) for v in range(9)))
+        bits = [1 << v for v in range(n)]
+        outcomes = []
+        for target in ({20}, {0, 20}, {0, 17, 29}, {0, 1, 2, 3}, None):
+            target = target and vertex_mask(target)
+
+            def value(x, target=target):
+                return in_degree_mask(f, x), int(x == target)
+
+            want = _walked(f, bits, False, 1000, value)
+            tracemalloc.start()
+            try:
+                got = _sweep(f, bits, False, 1000, 1, value)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert got == want, target
+            assert peak < 1e6, peak
+            outcomes.append(got)
+        assert [got[0] == "cap" for got in outcomes] == [False, False, False, True, True]
+        assert all(got[1] == -1 for got in outcomes[3:])
 
 
 class TestPartEntering:
@@ -487,6 +574,29 @@ class TestBudget:
 
 
 class TestEnumerationOrders:
+    def test_partition_masks_match_recursive_walk(self):
+        """The iterative walk gives the recursive walk's partitions, in its
+        order, with its steps and cap errors, on shuffled pools of up to 7
+        items under every cap up to one past the partition count."""
+        rng = random.Random(61)
+
+        def run(walk, bits, cap):
+            budget, seen = Budget(cap), []
+            try:
+                seen.extend(walk(bits, budget))
+            except CapExceededError:
+                return seen, "cap", budget.remaining
+            return seen, None, budget.remaining
+
+        for n in range(8):
+            bits = [1 << v for v in rng.sample(range(10), n)]
+            total = len(list(recursive_partition_masks(bits)))
+            assert total == [1, 1, 2, 5, 15, 52, 203, 877][n]  # Bell(n)
+            caps = range(1, total + 2) if total < 250 else sorted(rng.sample(range(1, total), 30))
+            for cap in [10**6, *caps]:
+                assert run(partition_masks, bits, cap) == \
+                    run(recursive_partition_masks, bits, cap), (n, cap)
+
     def test_subsets_size_then_lex(self):
         got = list(subsets([0, 1, 2]))
         assert got[0] == frozenset()
